@@ -2,9 +2,9 @@
 
 Every figure of the paper's evaluation draws on the same underlying runs
 (build each method once per dataset, query the workload at several k).  This
-module caches those runs — in memory within one pytest session, and as JSON
-under ``benchmarks/results/`` across sessions — so the per-figure benches
-stay cheap and mutually consistent.
+module memoises those runs within one pytest session so the per-figure
+benches stay cheap and mutually consistent; nothing is reused across
+sessions, so every run measures the current code.
 
 Profiles (env ``REPRO_BENCH_PROFILE``):
 
@@ -18,10 +18,8 @@ between profiles; only n/d and the workload density change.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from dataclasses import asdict
 from pathlib import Path
 
 from repro.data.datasets import Dataset, load_dataset
@@ -89,34 +87,14 @@ def get_build_report(dataset: str, method: str) -> BuildReport:
     return get_index(dataset, method)[1]
 
 
-def _cache_key(dataset: str, method: str, k: int, extra: str = "") -> str:
-    ds = get_dataset(dataset)
-    payload = f"v4|{PROFILE}|{dataset}|{ds.n}x{ds.dim}|{method}|k={k}|q={N_QUERIES}|{extra}"
-    return hashlib.sha1(payload.encode()).hexdigest()[:16]
-
-
-def _file_cache_path(key: str) -> Path:
-    return RESULTS_DIR / "cache" / f"{key}.json"
-
-
 def get_report(
     dataset: str, method: str, k: int, search_kwargs: dict | None = None
 ) -> QueryReport:
-    """One (dataset, method, k[, c/p overrides]) cell, cached at both levels.
-
-    CPU/total-time fields are only file-cached for reuse *within* a machine;
-    page/ratio/recall numbers are deterministic given the seed.
-    """
+    """One (dataset, method, k[, c/p overrides]) cell, memoised per session."""
     extra = json.dumps(search_kwargs, sort_keys=True) if search_kwargs else ""
     mem_key = (dataset, method, k, extra)
     if mem_key in _reports:
         return _reports[mem_key]
-
-    file_key = _file_cache_path(_cache_key(dataset, method, k, extra))
-    if file_key.exists():
-        report = QueryReport(**json.loads(file_key.read_text()))
-        _reports[mem_key] = report
-        return report
 
     index, _ = get_index(dataset, method)
     report = run_method(
@@ -128,8 +106,6 @@ def get_report(
         search_kwargs=search_kwargs,
     )
     _reports[mem_key] = report
-    file_key.parent.mkdir(exist_ok=True)
-    file_key.write_text(json.dumps(asdict(report)))
     return report
 
 

@@ -1,4 +1,4 @@
-"""Benchmark-suite configuration: make the shared cache importable."""
+"""Benchmark-suite configuration: make the shared ``common`` module importable."""
 
 from __future__ import annotations
 

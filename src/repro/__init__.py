@@ -25,6 +25,9 @@ Public API:
 
 Every index answers single queries (``search``) and query batches
 (``search_many``); batch answers are bit-identical to looping ``search``.
+``index.search_many`` is the one batch entry point;
+:func:`repro.search_batch` wraps it for per-query results plus aggregate
+:class:`repro.BatchStats`.
 
 Quickstart:
 
@@ -43,7 +46,7 @@ Quickstart:
 """
 
 from repro.api import BatchResult, MIPSIndex, SearchResult, SearchStats
-from repro.core.batch import BatchStats, search_batch, search_many
+from repro.core.batch import BatchStats, search_batch
 from repro.core.dynamic import DynamicProMIPS
 from repro.core.maintenance import MaintenanceEngine
 from repro.core.persist import inspect_index, load_index, save_index
@@ -66,7 +69,7 @@ from repro.spec import (
     registered_methods,
 )
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "MIPSIndex",
@@ -83,7 +86,6 @@ __all__ = [
     "ProMIPSParams",
     "BatchStats",
     "search_batch",
-    "search_many",
     "DynamicProMIPS",
     "MaintenanceEngine",
     "ShardedIndex",

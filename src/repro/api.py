@@ -186,9 +186,8 @@ class BatchSearchMixin:
     """Generic ``search_many`` fallback: loop ``search`` over the batch.
 
     Gives every index a batch path for free; methods with a natively
-    vectorized batch implementation override :meth:`search_many` instead.
-    ``repro.core.batch.search_batch`` detects this fallback and can fan it
-    out over a thread pool.
+    vectorized batch implementation override :meth:`search_many` instead
+    (``repro.core.batch.has_native_batch`` tells the two apart).
     """
 
     def search_many(self, queries: np.ndarray, k: int = 1, **kwargs) -> BatchResult:

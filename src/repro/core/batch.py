@@ -1,26 +1,24 @@
-"""Batch query execution with aggregate accounting.
+"""Batch query accounting.
 
 Recommendation back-ends answer MIP queries for whole user cohorts at once.
-Since batching is part of the :class:`repro.api.MIPSIndex` protocol, this
-module is a thin orchestration layer: :func:`search_many` routes a batch to
-the index's native vectorized path when it has one (ProMIPS, Exact, PQ,
-SimHash), and otherwise runs the generic fallback — optionally fanned out
-over a thread pool, which helps because NumPy releases the GIL inside the
-BLAS kernels every search leans on.  :func:`search_batch` keeps the original
-list-of-results signature and aggregates :class:`BatchStats`.
+Batching is part of the :class:`repro.api.MIPSIndex` protocol, so every index
+answers a batch through its own ``search_many`` — natively vectorized
+(ProMIPS, Dynamic, Exact, PQ, SimHash, Sharded) or the generic
+:class:`repro.api.BatchSearchMixin` loop.  This module only adds the
+accounting on top: :func:`search_batch` keeps the list-of-results signature
+and aggregates :class:`BatchStats`, and :func:`has_native_batch` tells the
+two kinds of ``search_many`` apart.
 """
 
 from __future__ import annotations
 
-import inspect
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.api import BatchResult, BatchSearchMixin, MIPSIndex, SearchResult
 
-__all__ = ["BatchStats", "search_batch", "search_many", "has_native_batch"]
+__all__ = ["BatchStats", "search_batch", "has_native_batch"]
 
 
 @dataclass(frozen=True)
@@ -61,72 +59,27 @@ def has_native_batch(index: MIPSIndex) -> bool:
     return impl is not None and impl is not BatchSearchMixin.search_many
 
 
-def search_many(
+def search_batch(
     index: MIPSIndex,
     queries: np.ndarray,
     k: int = 1,
-    n_threads: int | None = None,
     **search_kwargs,
-) -> BatchResult:
-    """Answer a query batch through the fastest path the index offers.
+) -> tuple[list[SearchResult], BatchStats]:
+    """Run a batch through ``index.search_many`` and aggregate its statistics.
+
+    Kept for callers that want per-query :class:`SearchResult` objects; new
+    code can call ``index.search_many`` directly and keep the columnar
+    :class:`repro.api.BatchResult`.
 
     Args:
         index: any MIPS index (ProMIPS or a baseline).
         queries: ``(n_q, d)`` array (one ``(d,)`` query is promoted).
         k: results per query.
-        n_threads: fan-out width.  Single-GEMM native paths ignore it (one
-            GEMM already saturates the cores BLAS is configured for), but a
-            native path that itself fans out — ``ShardedIndex`` — receives
-            it as its pool width, and the generic fallback loop spreads
-            over this many threads.
-        **search_kwargs: forwarded to the index (e.g. ProMIPS ``c=0.8``).
-    """
-    queries = np.asarray(queries, dtype=np.float64)
-    # An empty batch is answered uniformly (see repro.api.validate_queries);
-    # a malformed non-empty one (e.g. (5, 0)) still reaches the index's own
-    # validation and raises there.
-    if queries.size == 0 and (queries.ndim == 1 or queries.shape[0] == 0):
-        return BatchResult.empty()
-    queries = np.atleast_2d(queries)
-    if has_native_batch(index):
-        native = type(index).search_many
-        if (
-            n_threads is not None
-            and "n_threads" in inspect.signature(native).parameters
-        ):
-            return index.search_many(
-                queries, k=k, n_threads=n_threads, **search_kwargs
-            )
-        return index.search_many(queries, k=k, **search_kwargs)
-    if n_threads is not None and n_threads > 1 and queries.shape[0] > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(
-                pool.map(lambda q: index.search(q, k=k, **search_kwargs), queries)
-            )
-        return BatchResult.from_results(results)
-    if hasattr(index, "search_many"):
-        return index.search_many(queries, k=k, **search_kwargs)
-    # Indexes predating the protocol extension still answer batches.
-    return BatchResult.from_results(
-        [index.search(q, k=k, **search_kwargs) for q in queries]
-    )
-
-
-def search_batch(
-    index: MIPSIndex,
-    queries: np.ndarray,
-    k: int = 1,
-    n_threads: int | None = None,
-    **search_kwargs,
-) -> tuple[list[SearchResult], BatchStats]:
-    """Run a batch and aggregate its statistics.
-
-    Kept for callers that want per-query :class:`SearchResult` objects; new
-    code can use :func:`search_many` / ``index.search_many`` directly and
-    keep the columnar :class:`repro.api.BatchResult`.
+        **search_kwargs: forwarded to the index (e.g. ProMIPS ``c=0.8``, or
+            a sharded index's ``n_threads``).
 
     Returns:
         The per-query results plus aggregated :class:`BatchStats`.
     """
-    batch = search_many(index, queries, k=k, n_threads=n_threads, **search_kwargs)
+    batch = index.search_many(queries, k=k, **search_kwargs)
     return list(batch), BatchStats.from_batch(batch)

@@ -93,10 +93,6 @@ class ProMIPSParams:
             raise ValueError("kp, n_key and ksp must all be positive")
 
 
-# Backwards-compatible alias: the running top-k moved to the shared engine.
-_TopK = TopK
-
-
 @register_method("promips", aliases=("ProMIPS",))
 class ProMIPS:
     """Probability-guaranteed c-AMIP index with a lightweight iDistance.

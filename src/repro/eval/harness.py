@@ -15,15 +15,14 @@ actual construction goes through ``repro.build_index``.
 
 from __future__ import annotations
 
-import inspect
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.api import MIPSIndex, validate_k
-from repro.core.batch import has_native_batch, search_many
+from repro.core.batch import has_native_batch
 from repro.core.promips import ProMIPSParams
 from repro.data.datasets import Dataset
 from repro.eval.ground_truth import GroundTruth
@@ -74,58 +73,40 @@ class QueryReport:
     cpu_ms: float
     total_ms: float
     candidates: float
-    extras: dict = field(default_factory=dict)
 
 
 class MethodRegistry:
-    """Name → spec map, with legacy builder-callable support.
+    """Name → spec map.
 
     Entries are declarative: an :class:`repro.spec.IndexSpec` (or parseable
     spec string), or a *spec factory* ``(dataset) -> IndexSpec`` for
     parameters that depend on the dataset (page size, training-set scaling).
     Construction always goes through ``repro.build_index``, so every
     registered name shares the registry contract (persistence included).
-
-    Legacy builder callables ``(dataset, seed) -> index`` still register —
-    they are detected by arity — but cannot report a spec.
     """
 
     def __init__(self) -> None:
-        # name -> ("spec", IndexSpec) | ("factory", (ds) -> IndexSpec)
-        #       | ("builder", (ds, seed) -> index); one ordered dict keeps
-        # names() in registration order across entry kinds.
-        self._entries: dict[str, tuple[str, object]] = {}
+        # name -> fixed spec or (ds) -> IndexSpec factory, in registration order.
+        self._entries: dict[str, IndexSpec | Callable[[Dataset], IndexSpec]] = {}
 
     def register(
-        self,
-        name: str,
-        spec: IndexSpec | str | Callable[[Dataset], IndexSpec] | Callable[[Dataset, int], MIPSIndex],
+        self, name: str, spec: IndexSpec | str | Callable[[Dataset], IndexSpec]
     ) -> None:
-        """Register a spec, spec string, spec factory, or legacy builder."""
+        """Register a spec, spec string, or spec factory."""
         if callable(spec) and not isinstance(spec, IndexSpec):
-            if len(inspect.signature(spec).parameters) >= 2:
-                self._entries[name] = ("builder", spec)
-            else:
-                self._entries[name] = ("factory", spec)
+            self._entries[name] = spec
         else:
-            self._entries[name] = ("spec", IndexSpec.coerce(spec))
+            self._entries[name] = IndexSpec.coerce(spec)
 
     def names(self) -> list[str]:
         return list(self._entries)
 
-    def spec_for(self, name: str, dataset: Dataset) -> IndexSpec | None:
-        """The concrete spec this registry would build ``name`` from.
-
-        ``None`` for legacy builder entries (they have no declarative form).
-        """
+    def spec_for(self, name: str, dataset: Dataset) -> IndexSpec:
+        """The concrete spec this registry would build ``name`` from."""
         if name not in self._entries:
             raise KeyError(f"unknown method {name!r}; known: {self.names()}")
-        kind, entry = self._entries[name]
-        if kind == "spec":
-            return entry
-        if kind == "factory":
-            return entry(dataset)
-        return None
+        entry = self._entries[name]
+        return entry if isinstance(entry, IndexSpec) else entry(dataset)
 
     def build(self, name: str, dataset: Dataset, seed: int = 1) -> MIPSIndex:
         """Build a registered name — or an inline spec like ``"promips(c=0.8)"``
@@ -139,11 +120,7 @@ class MethodRegistry:
                 ) from None
             # Unknown spec names raise KeyError from the method registry.
             return build_index(spec, dataset.data, rng=seed)
-        kind, entry = self._entries[name]
-        if kind == "builder":
-            return entry(dataset, seed)
-        spec = entry(dataset) if kind == "factory" else entry
-        return build_index(spec, dataset.data, rng=seed)
+        return build_index(self.spec_for(name, dataset), dataset.data, rng=seed)
 
 
 def default_registry(
@@ -242,16 +219,11 @@ def run_method(
     method: str = "",
     search_kwargs: dict | None = None,
     page_latency: float = PAGE_LATENCY_SECONDS,
-    batch: bool = False,
 ) -> QueryReport:
     """Run every workload query at one ``k`` and aggregate the §VIII metrics.
 
-    Args:
-        batch: answer the whole workload through the index's ``search_many``
-            path instead of looping ``search``.  Results (and therefore
-            ratio/recall/pages) are bit-identical to the looped path for the
-            natively vectorized methods; only the CPU column changes, which
-            is exactly the quantity batching is meant to improve.
+    Queries run one ``search`` at a time so the CPU column is a per-query
+    latency, as in the paper; :func:`measure_throughput` times the batch path.
     """
     k = validate_k(k)
     search_kwargs = search_kwargs or {}
@@ -259,22 +231,11 @@ def run_method(
     recalls: list[float] = []
     pages: list[int] = []
     candidates: list[int] = []
-
-    if batch:
+    cpu_per_query: list[float] = []
+    for qi, query in enumerate(dataset.queries):
         start = time.perf_counter()
-        results = search_many(index, dataset.queries, k=k, **search_kwargs)
-        elapsed = time.perf_counter() - start
-        cpu_per_query = [elapsed / len(results)] * len(results)
-        per_query = list(results)
-    else:
-        cpu_per_query = []
-        per_query = []
-        for query in dataset.queries:
-            start = time.perf_counter()
-            per_query.append(index.search(query, k=k, **search_kwargs))
-            cpu_per_query.append(time.perf_counter() - start)
-
-    for qi, result in enumerate(per_query):
+        result = index.search(query, k=k, **search_kwargs)
+        cpu_per_query.append(time.perf_counter() - start)
         exact_ids, exact_ips = ground_truth.topk(qi, k)
         ratios.append(overall_ratio(result.scores, exact_ips))
         recalls.append(recall(result.ids, exact_ids))
@@ -292,7 +253,6 @@ def run_method(
         cpu_ms=mean_cpu * 1e3,
         total_ms=(mean_cpu + mean_pages * page_latency) * 1e3,
         candidates=float(np.mean(candidates)),
-        extras={"batch": batch},
     )
 
 
@@ -364,11 +324,11 @@ def measure_throughput(
             loop_best = elapsed
             best_latencies = latencies
 
-    search_many(index, queries, k=k, **search_kwargs)
+    index.search_many(queries, k=k, **search_kwargs)
     batch_best = np.inf
     for _ in range(repeats):
         start = time.perf_counter()
-        search_many(index, queries, k=k, **search_kwargs)
+        index.search_many(queries, k=k, **search_kwargs)
         batch_best = min(batch_best, time.perf_counter() - start)
 
     loop_qps = n_queries / loop_best if loop_best > 0 else float("inf")

@@ -322,6 +322,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -348,9 +350,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"unknown path {self.path!r}", self.path)
             return
         endpoint = self.path.lstrip("/")
+        length = self.headers.get("Content-Length", "0").strip()
+        if not (length.isascii() and length.isdigit()):
+            # The body's framing is unknown (rfile.read(-1) would block until
+            # the client hangs up), so answer and drop the connection.
+            self.close_connection = True
+            self._error(400, "Content-Length must be a non-negative integer", endpoint)
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            body = json.loads(self.rfile.read(length) or b"{}")
+            body = json.loads(self.rfile.read(int(length)) or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("request body must be a JSON object")
             self._reply(200, handler(body))

@@ -1,6 +1,5 @@
-"""Disk substrate: paged vector files, page-access accounting, buffer pool."""
+"""Disk substrate: paged vector files and per-query page-access accounting."""
 
-from repro.storage.buffer import BufferPool
 from repro.storage.pagefile import (
     BYTES_PER_COMPONENT,
     DEFAULT_PAGE_SIZE,
@@ -11,7 +10,6 @@ from repro.storage.pagefile import (
 
 __all__ = [
     "AccessCounter",
-    "BufferPool",
     "BYTES_PER_COMPONENT",
     "DEFAULT_PAGE_SIZE",
     "VectorReader",

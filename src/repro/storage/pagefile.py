@@ -8,9 +8,10 @@ fetches (Fig. 9).  This module provides the substrate all indexes share:
   contiguously in a simulated paged file.  The layout order is an explicit
   permutation, so an index can co-locate the points of a sub-partition on
   neighbouring pages exactly as §VI of the paper prescribes.
-* :class:`VectorReader` — a per-query view that records the *distinct* pages
-  touched (the OS buffer caches a page for the duration of a query, matching
-  the paper's "buffering management in the operating system").
+* :class:`VectorReader` — a per-query view whose one job is counting the
+  *distinct* pages touched (the OS buffer caches a page for the duration of
+  a query, matching the paper's "buffering management in the operating
+  system"); queries are cold with respect to each other.
 * :class:`AccessCounter` — a plain page counter used by index structures
   (B+-tree node visits) where every visit is a page read.
 
@@ -121,15 +122,9 @@ class VectorStore:
         """Page ids occupied by a point (a point wider than a page spans several)."""
         return range(int(self._first_page[point_id]), int(self._last_page[point_id]) + 1)
 
-    def reader(self, buffer=None) -> "VectorReader":
-        """A fresh per-query reader with an empty page cache.
-
-        Args:
-            buffer: optional shared :class:`repro.storage.buffer.BufferPool`
-                for warm-cache experiments; pages already resident there are
-                not charged as disk reads.
-        """
-        return VectorReader(self, buffer=buffer)
+    def reader(self) -> "VectorReader":
+        """A fresh per-query reader with an empty page cache."""
+        return VectorReader(self)
 
     def __repr__(self) -> str:
         return (
@@ -147,35 +142,17 @@ class VectorReader:
     the paper's page-access numbers imply).
     """
 
-    def __init__(self, store: VectorStore, buffer=None) -> None:
+    def __init__(self, store: VectorStore) -> None:
         self._store = store
         self._touched: set[int] = set()
-        self._buffer = buffer
-        self._disk_reads = 0
 
     @property
     def pages_touched(self) -> int:
         """Number of distinct pages read so far."""
         return len(self._touched)
 
-    @property
-    def disk_reads(self) -> int:
-        """Pages that actually went to disk.
-
-        Equals :attr:`pages_touched` for cold queries; with a shared buffer
-        pool, pages already resident in the pool are excluded.
-        """
-        return self._disk_reads
-
     def _charge(self, page_ids) -> None:
-        buffer = self._buffer
-        label = self._store.label
-        for page in page_ids:
-            if page in self._touched:
-                continue
-            self._touched.add(page)
-            if buffer is None or not buffer.access(label, page):
-                self._disk_reads += 1
+        self._touched.update(page_ids)
 
     def get(self, point_id: int) -> np.ndarray:
         """Fetch one vector, charging its pages on first touch."""
@@ -202,7 +179,3 @@ class VectorReader:
         """Full sequential scan: touches every page, returns the raw array."""
         self._charge(range(self._store.total_pages))
         return self._store._vectors
-
-    def touch_pages(self, page_ids: range | list[int]) -> None:
-        """Charge raw pages (used for auxiliary on-disk structures)."""
-        self._charge(page_ids)

@@ -17,7 +17,7 @@ from repro.baselines.h2alsh import H2ALSH
 from repro.baselines.pq import PQBasedMIPS
 from repro.baselines.rangelsh import RangeLSH
 from repro.baselines.simhash import SimHashMIPS
-from repro.core.batch import has_native_batch, search_batch, search_many
+from repro.core.batch import has_native_batch
 from repro.core.dynamic import DynamicProMIPS
 from repro.core.promips import ProMIPS, ProMIPSParams
 
@@ -172,15 +172,6 @@ class TestFallbackParity:
             index.insert(row)
         assert_batch_matches_loop(index, queries[:4], k=6)
 
-    def test_threaded_fanout_matches_sequential(self, workload):
-        data, queries = workload
-        index = RangeLSH(data, rng=3)
-        seq, _ = search_batch(index, queries, k=5)
-        par, _ = search_batch(index, queries, k=5, n_threads=4)
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.ids, b.ids)
-            assert np.array_equal(a.scores, b.scores)
-
 
 class TestBatchResult:
     def test_from_results_pads_ragged_rows(self):
@@ -216,10 +207,3 @@ class TestBatchResult:
             BatchResult(
                 ids=np.zeros((2, 3)), scores=np.zeros((2, 3)), stats=[SearchStats()]
             )
-
-    def test_search_many_helper_routes_native_and_fallback(self, workload):
-        data, queries = workload
-        exact = ExactMIPS(data)
-        lsh = RangeLSH(data, rng=3)
-        assert isinstance(search_many(exact, queries, k=3), BatchResult)
-        assert isinstance(search_many(lsh, queries[:2], k=3), BatchResult)

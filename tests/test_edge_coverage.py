@@ -9,8 +9,6 @@ from repro.baselines.h2alsh import H2ALSH
 from repro.core.promips import ProMIPS, ProMIPSParams
 from repro.data.datasets import load_dataset
 from repro.eval.harness import default_registry
-from repro.storage.buffer import BufferPool
-from repro.storage.pagefile import VectorStore
 
 
 class TestH2ALSHEdges:
@@ -59,29 +57,6 @@ class TestRegistryConfigs:
         index = registry.build("ProMIPS", small, seed=1)
         assert index.params.c == 0.8
         assert index.m == 4
-
-
-class TestWarmCacheAccounting:
-    def test_buffer_pool_reduces_disk_reads_across_queries(self):
-        gen = np.random.default_rng(3)
-        store = VectorStore(gen.standard_normal((64, 8)), page_size=128)
-        pool = BufferPool(capacity_pages=1024)
-
-        first = store.reader(buffer=pool)
-        first.get_many(np.arange(32))
-        assert first.disk_reads == first.pages_touched  # cold
-
-        second = store.reader(buffer=pool)
-        second.get_many(np.arange(32))
-        assert second.pages_touched > 0
-        assert second.disk_reads == 0  # fully warm
-
-    def test_cold_reader_equivalence(self):
-        gen = np.random.default_rng(4)
-        store = VectorStore(gen.standard_normal((16, 8)), page_size=128)
-        reader = store.reader()
-        reader.get(0)
-        assert reader.disk_reads == reader.pages_touched
 
 
 class TestIncrementalSearchAccounting:

@@ -14,6 +14,7 @@ from repro.eval.harness import (
     run_method,
 )
 from repro.eval.reporting import format_series, format_table
+from repro.spec import IndexSpec
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +37,10 @@ class TestRegistry:
 
     def test_custom_registration(self, tiny_dataset):
         reg = MethodRegistry()
-        reg.register("dummy", lambda ds, seed: object())
+        reg.register("dummy", lambda ds: IndexSpec("exact", {"page_size": ds.page_size}))
         assert reg.names() == ["dummy"]
+        expected = IndexSpec("exact", {"page_size": tiny_dataset.page_size})
+        assert reg.spec_for("dummy", tiny_dataset) == expected
 
 
 class TestBuildAndRun:

@@ -147,13 +147,6 @@ class TestVectorReader:
         reader.get_many(ids)
         assert reader.pages_touched == 4
 
-    def test_touch_pages_manual(self):
-        reader = _store().reader()
-        reader.touch_pages(range(3))
-        assert reader.pages_touched == 3
-        reader.touch_pages([1, 2, 5])
-        assert reader.pages_touched == 4
-
     def test_wide_vector_get_many_counts_spans(self):
         vectors = np.ones((6, 64))
         store = VectorStore(vectors, page_size=128)  # 2 pages per point

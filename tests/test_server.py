@@ -12,6 +12,7 @@ float64 score crosses the wire without loss.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -432,6 +433,24 @@ class TestHTTPErrors:
         q = [0.0] * DIM
         code, payload = client.post("/search", {"query": q, "params": [1]})
         assert code == 400 and "params" in payload["error"]
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_400_and_closes(self, client, length):
+        # The body's framing is unknown, so the server must answer at once
+        # and hang up; reading "to EOF" would stall a keep-alive client.
+        port = int(client.base.rsplit(":", 1)[1])
+        request = (
+            "POST /search HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}"
+        )
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(request.encode())
+            reply = b""
+            while chunk := sock.recv(4096):  # EOF: the server closed
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in reply
+        assert b"Content-Length must be a non-negative integer" in reply
 
     def test_errors_counted_in_stats(self, client):
         client.post("/search", {"k": 3})

@@ -168,16 +168,6 @@ class TestEdges:
         assert np.array_equal(pooled.ids, sequential.ids)
         assert np.array_equal(pooled.scores, sequential.scores)
 
-    def test_orchestrator_forwards_n_threads_to_native_path(self, workload):
-        from repro.core.batch import search_many
-
-        data, queries = workload
-        sharded = ShardedIndex.build(data, inner="exact()", shards=4, rng=1)
-        batch = search_many(sharded, queries, k=10, n_threads=2)
-        direct = sharded.search_many(queries, k=10)
-        assert np.array_equal(batch.ids, direct.ids)
-        assert np.array_equal(batch.scores, direct.scores)
-
     def test_registered_and_spec_round_trip(self, workload):
         data, _ = workload
         assert "sharded" in registered_methods()

@@ -216,14 +216,3 @@ class TestHarnessRegistrySpecs:
         assert isinstance(registry.build("exact", dataset, seed=1), ExactMIPS)
         with pytest.raises(KeyError):
             registry.build("faiss", dataset, seed=1)
-
-    def test_legacy_builder_still_works(self):
-        from repro.data.datasets import load_dataset
-        from repro.eval.harness import MethodRegistry
-
-        dataset = load_dataset("netflix", n=400, dim=12, n_queries=2)
-        registry = MethodRegistry()
-        sentinel = object()
-        registry.register("custom", lambda ds, seed: sentinel)
-        assert registry.build("custom", dataset) is sentinel
-        assert registry.spec_for("custom", dataset) is None
