@@ -69,7 +69,7 @@ from repro.spec import (
     registered_methods,
 )
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "MIPSIndex",

@@ -68,7 +68,7 @@ from repro.core.engine import (
 )
 from repro.core.maintenance import RebuildTicket
 from repro.core.promips import ProMIPS, ProMIPSParams
-from repro.core.rng import resolve_rng
+from repro.core.rng import generator_state, resolve_rng, restore_generator
 from repro.spec import IndexSpec, register_method
 
 __all__ = ["DynamicProMIPS"]
@@ -196,7 +196,8 @@ class DynamicProMIPS:
         *reachable* stored vector (live, delta, and tombstoned — orphaned
         rows awaiting compaction are dropped, a logical compaction for
         free), the ids those rows belong to, the tombstone set, the delta
-        ids, and the indexed→external id map.
+        ids, the indexed→external id map, and the exact position of the
+        rebuild generator.
 
         The inner index's data array is NOT stored — its rows are exactly
         the buffer rows of ``indexed_external``, so :meth:`from_state`
@@ -224,6 +225,7 @@ class DynamicProMIPS:
             "next_id": np.array([self._next_id], dtype=np.int64),
             "rebuilds": np.array([self.rebuilds], dtype=np.int64),
             "reclaimed_bytes": np.array([self.reclaimed_bytes], dtype=np.int64),
+            "rng_state": generator_state(self._rng),
         }
 
     @classmethod
@@ -232,9 +234,10 @@ class DynamicProMIPS:
     ) -> "DynamicProMIPS":
         """Reconstruct with bit-identical search behaviour.
 
-        The rng for *future* rebuilds is freshly OS-seeded (the generator's
-        position is not serialized); everything a search touches is restored
-        exactly.
+        The rebuild generator resumes at its saved position, so replicas
+        loading one envelope stay identical through later rebuilds.
+        Envelopes written before that position was saved get a freshly
+        OS-seeded generator; everything a search touches is restored exactly.
         """
         thresholds = ("rebuild_threshold", "compact_threshold")
         params = {k: v for k, v in spec.params.items() if k not in thresholds}
@@ -269,7 +272,11 @@ class DynamicProMIPS:
         inner = ProMIPS.from_state(inner_spec, inner_state)
 
         self = cls.__new__(cls)
-        self._rng = resolve_rng(None)
+        self._rng = (
+            restore_generator(state["rng_state"])
+            if "rng_state" in state
+            else resolve_rng(None)
+        )
         self.params = ProMIPSParams(**params)
         self.rebuild_threshold = float(spec.params.get("rebuild_threshold", 0.2))
         self.compact_threshold = float(spec.params.get("compact_threshold", 0.25))

@@ -177,6 +177,57 @@ class TopK:
         elif ip > self._heap[0][0]:
             heapq.heapreplace(self._heap, (ip, pid))
 
+    def offer_block(self, ids: np.ndarray, ips: np.ndarray, first_stop) -> int:
+        """Offer ``(ips[i], ids[i])`` in order until a stop; return its position.
+
+        Equivalent to :meth:`offer` at every position in turn, asking after
+        each offer made on a full heap whether to stop; the heap and the
+        seen set end exactly as those offers leave them.  The question is
+        ``first_stop(kth, lo, hi)``: the first position in ``[lo, hi)`` to
+        stop at while the k-th best stays ``kth``, or ``hi`` for none.
+
+        Only *records* — unseen ids scoring strictly above the k-th best —
+        change the heap; between two of them the k-th best is constant and
+        the other offers only mark their ids seen.  So Python walks the
+        records and hands each stretch between them to ``first_stop`` whole.
+        Returns ``len(ids)`` when no position stops.
+        """
+        heap, seen = self._heap, self._seen
+        n = ids.size
+        # Until the heap is full every unseen id is pushed and nothing is
+        # asked: at most k offers one by one.
+        pos = 0
+        while pos < n and len(heap) < self.k:
+            self.offer(float(ips[pos]), int(ids[pos]))
+            pos += 1
+            if len(heap) == self.k and first_stop(heap[0][0], pos - 1, pos) < pos:
+                return pos - 1
+        if len(heap) < self.k:
+            return n
+        kth = heap[0][0]
+        # Positions that may still be records.  Beating the k-th best only
+        # gets harder as it rises, so the pool only ever shrinks.
+        pool = np.arange(pos, n)
+        while True:
+            pool = pool[ips[pool] > kth]
+            nxt = int(pool[0]) if pool.size else n
+            pool = pool[1:]
+            if nxt > pos:
+                hit = first_stop(kth, pos, nxt)
+                seen.update(ids[pos : min(hit + 1, nxt)].tolist())
+                if hit < nxt:
+                    return hit
+            if nxt == n:
+                return n
+            pid = int(ids[nxt])
+            if pid not in seen:
+                seen.add(pid)
+                heapq.heapreplace(heap, (float(ips[nxt]), pid))
+                kth = heap[0][0]
+            if first_stop(kth, nxt, nxt + 1) == nxt:
+                return nxt
+            pos = nxt + 1
+
     @property
     def full(self) -> bool:
         return len(self._heap) >= self.k
@@ -203,31 +254,64 @@ class TopK:
 
 
 class CandidateVerifier:
-    """Chunked exact verification with the ProMIPS stopping conditions.
+    """Blocked exact verification with the ProMIPS stopping conditions.
 
     Owns the Theorem 1/2 incremental traversal shared by ``search`` and
-    ``search_many``: fetch candidate vectors in page-coalesced chunks, compute
-    their inner products with one matrix multiply per chunk, update the
-    running top-k, and test the O(1) forms of Conditions A and B against the
-    *updated* k-th best.  Condition B is evaluated through
-    ``dis²(P(oi), P(q)) ≥ Ψm⁻¹(p) · denom`` — the CDF comparison inverted
-    once through the cached chi-square quantile — so no per-candidate CDF
-    evaluation is needed.
+    ``search_many``: offer candidates to the running top-k in ascending
+    projected distance and stop at the first candidate after whose offer
+    the O(1) form of Condition A or B holds against the *updated* k-th best.
+    Condition B is evaluated through ``dis²(P(oi), P(q)) ≥ Ψm⁻¹(p) · denom``
+    — the CDF comparison inverted once through the cached chi-square
+    quantile — so no per-candidate CDF evaluation is needed.
+
+    Candidates run in blocks of up to :attr:`BLOCK_CHUNKS` chunks of
+    ``chunk`` candidates.  The chunk is the unit of both the inner-product
+    GEMV and page charging: a block's vectors are multiplied as a stacked
+    ``(chunks, chunk, d) @ q``, which issues one ``(chunk, d)`` GEMV per
+    chunk (bit-identical to multiplying each chunk alone, which one
+    ``(rows, d)`` GEMV need not be — BLAS may pick kernels by row count),
+    and the pages of exactly ``ceil(verified / chunk)`` chunks are charged.
+
+    Each block goes to :meth:`TopK.offer_block`, which walks only the
+    *record* candidates — those whose inner product strictly beats the
+    current k-th best — in Python.  Between two records the k-th best is
+    constant, so Condition A cannot newly fire and Condition B's first
+    firing is one ``searchsorted`` of its threshold over the non-decreasing
+    ``dis²``.
 
     Args:
         chi2: the cached ``ChiSquare(m)`` of the index.
         max_norm_sq: ``‖oM‖²`` over the dataset.
-        chunk: candidates fetched (and multiplied) per round; chunk results
-            are bit-identical to one full multiply, so the chunk size only
-            trades page-prefetch granularity against early-stop laziness.
+        chunk: candidates per GEMV and per page charge.
     """
 
     __slots__ = ("_chi2", "_max_norm_sq", "_chunk")
+
+    # Chunks per block: bounds the vectors held at once (2048 at the
+    # default chunk) while keeping per-block numpy overhead small.
+    BLOCK_CHUNKS = 64
 
     def __init__(self, chi2, max_norm_sq: float, chunk: int = 32) -> None:
         self._chi2 = chi2
         self._max_norm_sq = float(max_norm_sq)
         self._chunk = int(chunk)
+
+    def _block_ips(
+        self, vectors: np.ndarray, ids: np.ndarray, query: np.ndarray
+    ) -> np.ndarray:
+        """Inner products of ``vectors[ids]`` with ``query``, chunk-aligned:
+        every full chunk is one ``(chunk, d)`` GEMV of a stacked matmul and
+        a trailing partial chunk its own GEMV."""
+        chunk = self._chunk
+        full = ids.size - ids.size % chunk
+        out = np.empty(ids.size)
+        rows = np.take(vectors, ids, axis=0)
+        if full:
+            stacked = rows[:full].reshape(full // chunk, chunk, -1)
+            out[:full] = np.matmul(stacked, query).ravel()
+        if full < ids.size:
+            out[full:] = rows[full:] @ query
+        return out
 
     def verify(
         self,
@@ -245,27 +329,35 @@ class CandidateVerifier:
         Returns ``(fired_condition, points_verified)`` where
         ``fired_condition`` is ``"condition_a"``, ``"condition_b"`` or None.
         Condition A reduces to ``ip_k ≥ c·(‖oM‖² + ‖q‖²)/2`` and Condition B
-        to ``dis² ≥ Ψm⁻¹(p)·(‖oM‖² + ‖q‖² − 2·ip_k/c)``.
+        to ``dis² ≥ Ψm⁻¹(p)·(‖oM‖² + ‖q‖² − 2·ip_k/c)``.  ``dists`` must be
+        non-decreasing (as :meth:`RingIDistance.range_search` returns them).
         """
         quantile = self._chi2.ppf(p)
         base = self._max_norm_sq + q_norm_sq
         cond_a_threshold = 0.5 * c * base
-        verified = 0
         chunk = self._chunk
-        for start in range(0, ids.size, chunk):
-            chunk_ids = ids[start : start + chunk]
-            vecs = orig_reader.get_many(chunk_ids)
-            ips = vecs @ query
-            for pid, dist, ip in zip(
-                chunk_ids.tolist(), dists[start : start + chunk].tolist(), ips.tolist()
-            ):
-                verified += 1
-                topk.offer(ip, pid)
-                if not topk.full:
-                    continue
-                kth = topk.kth_ip
+        block = chunk * self.BLOCK_CHUNKS
+        vectors = orig_reader.vectors
+        for start in range(0, ids.size, block):
+            block_ids = ids[start : start + block]
+            block_dists = dists[start : start + block]
+
+            def first_stop(kth, lo, hi, dist_sq=block_dists * block_dists):
+                # Condition A holds at lo or nowhere; Condition B first
+                # holds where the non-decreasing dis² reaches its threshold.
                 if kth >= cond_a_threshold:
-                    return "condition_a", verified
-                if dist * dist >= quantile * (base - 2.0 * kth / c):
-                    return "condition_b", verified
-        return None, verified
+                    return lo
+                threshold = quantile * (base - 2.0 * kth / c)
+                return lo + int(np.searchsorted(dist_sq[lo:hi], threshold))
+
+            ips = self._block_ips(vectors, block_ids, query)
+            pos = topk.offer_block(block_ids, ips, first_stop)
+            if pos < block_ids.size:
+                consumed = -(-(pos + 1) // chunk) * chunk
+                orig_reader.charge(block_ids[:consumed])
+                fired = (
+                    "condition_a" if topk.kth_ip >= cond_a_threshold else "condition_b"
+                )
+                return fired, start + pos + 1
+            orig_reader.charge(block_ids)
+        return None, ids.size

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.cluster.kmeans import kmeans
 from repro.index.bptree import BPlusTree
-from repro.storage.pagefile import AccessCounter, VectorReader
+from repro.storage.pagefile import AccessCounter, VectorReader, expand_runs
 
 __all__ = ["SubPartition", "RingIDistance"]
 
@@ -136,9 +136,18 @@ class RingIDistance:
         self._cache_subpartition_arrays()
 
     def _cache_subpartition_arrays(self) -> None:
-        """Vectorized views of the descriptors (hot path of range search)."""
+        """Vectorized views of the descriptors (hot path of range search).
+
+        ``layout_order`` concatenates the sub-partitions' ``member_ids`` in
+        ``subpartitions`` order, so sub-partition ``i`` occupies the slot run
+        ``[_sp_slot_start[i], _sp_slot_start[i] + _sp_size[i])``.
+        """
         self._sp_pivots = np.stack([sp.pivot for sp in self.subpartitions])
         self._sp_radii = np.array([sp.radius for sp in self.subpartitions])
+        self._sp_size = np.array(
+            [sp.member_ids.size for sp in self.subpartitions], dtype=np.int64
+        )
+        self._sp_slot_start = np.cumsum(self._sp_size) - self._sp_size
 
     # -------------------------------------------------------- persistence
 
@@ -236,8 +245,9 @@ class RingIDistance:
         query: np.ndarray,
         radius: float,
         tree_counter: AccessCounter | None,
-    ) -> list[SubPartition]:
-        """Sub-partitions whose bounding sphere intersects the query sphere."""
+    ) -> np.ndarray:
+        """Indices of the sub-partitions whose bounding sphere intersects the
+        query sphere, in B+-tree traversal order."""
         center_dists = np.linalg.norm(self.centers - query[None, :], axis=1)
         touched: list[int] = []
         for i in range(self.kp):
@@ -252,16 +262,14 @@ class RingIDistance:
             hi_ring = min(hi_ring, int(self.max_ring[i]))
             lo_key = i * self.C + lo_ring
             hi_key = i * self.C + hi_ring
-            for _, sp_idx in self._tree.range(lo_key, hi_key, counter=tree_counter):
-                touched.append(sp_idx)
-        if not touched:
-            return []
+            touched.extend(
+                sp_idx for _, sp_idx in self._tree.range(lo_key, hi_key, counter=tree_counter)
+            )
         # One vectorized sphere-intersection test over all touched
         # descriptors replaces per-descriptor norm computations.
         sel = np.asarray(touched, dtype=np.int64)
         pivot_dists = np.linalg.norm(self._sp_pivots[sel] - query[None, :], axis=1)
-        keep = pivot_dists <= radius + self._sp_radii[sel]
-        return [self.subpartitions[i] for i in sel[keep].tolist()]
+        return sel[pivot_dists <= radius + self._sp_radii[sel]]
 
     def range_search(
         self,
@@ -275,33 +283,39 @@ class RingIDistance:
 
         ``min_radius > 0`` turns the search into an annulus scan, used by the
         compensation pass of MIP-Search-II so already-verified points are not
-        reported twice.  Results are sorted by ascending distance, matching
-        the order Algorithm 3 consumes them in.
+        reported twice.  Results are sorted by ascending distance (ties in
+        candidate order), matching the order Algorithm 3 consumes them in.
+
+        The chosen sub-partitions are read as slot runs of the §VI
+        sequential layout: one ``repeat``/``arange`` expands the runs into
+        the candidate ids (in B+-tree traversal order), which are fetched
+        through ``reader`` in one batch.  Over a store laid out in
+        :attr:`layout_order`, as ProMIPS builds it, each run is one
+        contiguous page range.
         """
         query = np.asarray(query, dtype=np.float64)
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
         chosen = self._candidate_subpartitions(query, radius, tree_counter)
-        if not chosen:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-            )
-        # Fetch every chosen sub-partition in one batched read: pages are
-        # charged identically (the reader dedups) and the distance test
-        # vectorizes across the whole candidate set.
-        ids = (
-            chosen[0].member_ids
-            if len(chosen) == 1
-            else np.concatenate([sp.member_ids for sp in chosen])
+        starts = self._sp_slot_start[chosen]
+        ids = self.layout_order[expand_runs(starts, starts + self._sp_size[chosen])]
+        vecs = (
+            reader.get_many(ids)
+            if reader is not None
+            else np.take(self._points, ids, axis=0)
         )
-        vecs = reader.get_many(ids) if reader is not None else self._points[ids]
         dists = np.linalg.norm(vecs - query[None, :], axis=1)
         mask = (dists <= radius) & (dists > min_radius)
         ids = ids[mask]
         dists = dists[mask]
-        order = np.argsort(dists, kind="stable")
-        return ids[order], dists[order]
+        # Equal distances are the only case where an unstable sort can
+        # reorder; fall back to the stable sort just for them.
+        order = np.argsort(dists)
+        ranked = dists[order]
+        if (ranked[1:] == ranked[:-1]).any():
+            order = np.argsort(dists, kind="stable")
+            ranked = dists[order]
+        return ids[order], ranked
 
     def knn_iterate(
         self,

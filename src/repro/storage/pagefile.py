@@ -11,7 +11,10 @@ fetches (Fig. 9).  This module provides the substrate all indexes share:
 * :class:`VectorReader` — a per-query view whose one job is counting the
   *distinct* pages touched (the OS buffer caches a page for the duration of
   a query, matching the paper's "buffering management in the operating
-  system"); queries are cold with respect to each other.
+  system"); queries are cold with respect to each other.  The touched set is
+  a ``bool`` bitmap over the file's pages, charged by fancy assignment
+  (:meth:`VectorReader.charge`), so no Python loop runs per point or per
+  page.
 * :class:`AccessCounter` — a plain page counter used by index structures
   (B+-tree node visits) where every visit is a page read.
 
@@ -27,6 +30,7 @@ __all__ = [
     "AccessCounter",
     "VectorStore",
     "VectorReader",
+    "expand_runs",
     "DEFAULT_PAGE_SIZE",
     "BYTES_PER_COMPONENT",
 ]
@@ -140,42 +144,76 @@ class VectorReader:
     not recounted — this mirrors OS buffering within a single query while
     keeping queries cold with respect to each other (the conservative setting
     the paper's page-access numbers imply).
+
+    The touched pages live in a ``bool`` bitmap of ``store.total_pages``
+    entries, so charging a batch is one fancy assignment and
+    :attr:`pages_touched` one ``count_nonzero``.  A vector covers the pages
+    from its first to its last byte: marking the first and the last page is
+    exact for vectors narrower than a page (at most two pages, e.g. a
+    24-byte stride straddling a 4KB boundary); only vectors wider than a
+    page, which can span three or more, need their interior pages marked.
     """
+
+    __slots__ = ("_store", "_touched")
 
     def __init__(self, store: VectorStore) -> None:
         self._store = store
-        self._touched: set[int] = set()
+        self._touched = np.zeros(store.total_pages, dtype=bool)
 
     @property
     def pages_touched(self) -> int:
         """Number of distinct pages read so far."""
-        return len(self._touched)
+        return int(np.count_nonzero(self._touched))
 
-    def _charge(self, page_ids) -> None:
-        self._touched.update(page_ids)
+    @property
+    def vectors(self) -> np.ndarray:
+        """The store's raw ``(n, d)`` array, indexed by point id.
+
+        Reading through it charges nothing: a caller that gathers vectors
+        itself charges their pages with :meth:`charge`.
+        """
+        return self._store._vectors
+
+    def charge(self, point_ids: np.ndarray) -> None:
+        """Charge the pages of a batch of points without fetching them."""
+        store = self._store
+        point_ids = np.asarray(point_ids, dtype=np.int64)
+        firsts = store._first_page[point_ids]
+        lasts = store._last_page[point_ids]
+        self._touched[firsts] = True
+        self._touched[lasts] = True
+        if store.stride_bytes > store.page_size:
+            wide = lasts - firsts > 1
+            if wide.any():
+                self._touched[expand_runs(firsts[wide] + 1, lasts[wide])] = True
 
     def get(self, point_id: int) -> np.ndarray:
         """Fetch one vector, charging its pages on first touch."""
         store = self._store
-        self._charge(
-            range(int(store._first_page[point_id]), int(store._last_page[point_id]) + 1)
-        )
+        self._touched[store._first_page[point_id] : store._last_page[point_id] + 1] = True
         return store._vectors[point_id]
 
     def get_many(self, point_ids: np.ndarray) -> np.ndarray:
         """Fetch a batch of vectors, charging all their pages on first touch."""
         point_ids = np.asarray(point_ids, dtype=np.int64)
-        if point_ids.size:
-            firsts = self._store._first_page[point_ids]
-            lasts = self._store._last_page[point_ids]
-            if np.array_equal(firsts, lasts):
-                self._charge(firsts.tolist())
-            else:
-                for first, last in zip(firsts.tolist(), lasts.tolist()):
-                    self._charge(range(first, last + 1))
-        return self._store._vectors[point_ids]
+        self.charge(point_ids)
+        return np.take(self._store._vectors, point_ids, axis=0)
 
     def scan_all(self) -> np.ndarray:
         """Full sequential scan: touches every page, returns the raw array."""
-        self._charge(range(self._store.total_pages))
+        self._touched[:] = True
         return self._store._vectors
+
+
+def expand_runs(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(starts[i], stops[i])`` over all ``i``.
+
+    One ``repeat`` plus one ``arange`` instead of a loop over the runs;
+    runs must satisfy ``starts[i] <= stops[i]``.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(stops, dtype=np.int64) - starts
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(
+        ends[-1] if ends.size else 0, dtype=np.int64
+    )

@@ -275,6 +275,51 @@ class TestCompaction:
         assert np.array_equal(batch_a.scores, batch_b.scores)
 
 
+class TestReloadedRebuilds:
+    """A reloaded index resumes the saved rebuild generator, so replicas
+    loading one envelope stay identical through later rebuilds."""
+
+    @staticmethod
+    def _mutate_and_rebuild(index, data):
+        for row in data[700:720]:
+            index.insert(row)
+        index.delete(7)
+        index.delete(301)
+        index.compact()
+
+    def test_replicas_rebuild_identically(self, latent_small, tmp_path):
+        from repro.core.persist import load_index, save_index
+
+        data, queries = latent_small
+        index = DynamicProMIPS(data[:300], PARAMS, rng=1)
+        for row in data[600:610]:
+            index.insert(row)
+        index.delete(5)
+        path = save_index(index, tmp_path / "dyn")
+        replicas = [index, load_index(path), load_index(path)]
+        for replica in replicas:
+            self._mutate_and_rebuild(replica, data)
+        expected = index.search_many(queries[:12], k=8)
+        for replica in replicas[1:]:
+            assert replica.rebuilds == index.rebuilds
+            got = replica.search_many(queries[:12], k=8)
+            assert np.array_equal(got.ids, expected.ids)
+            assert np.array_equal(got.scores, expected.scores)
+            for mine, theirs in zip(got, expected):
+                assert mine.stats.pages == theirs.stats.pages
+                assert mine.stats.candidates == theirs.stats.candidates
+
+    def test_envelope_without_generator_state_still_loads(self, latent_small):
+        data, queries = latent_small
+        index = DynamicProMIPS(data[:300], PARAMS, rng=1)
+        state = index.state()
+        del state["rng_state"]
+        restored = DynamicProMIPS.from_state(index.spec(), state)
+        self._mutate_and_rebuild(restored, data)
+        assert restored.rebuilds == 1
+        assert restored.search(queries[0], k=3).ids.size == 3
+
+
 class TestGenerationalRebuild:
     """The begin/build/commit protocol the maintenance engine drives."""
 

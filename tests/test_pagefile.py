@@ -10,6 +10,7 @@ from repro.storage.pagefile import (
     AccessCounter,
     VectorReader,
     VectorStore,
+    expand_runs,
 )
 
 
@@ -156,3 +157,60 @@ class TestVectorReader:
 
     def test_reader_type(self):
         assert isinstance(_store().reader(), VectorReader)
+
+
+def _brute_pages(store, point_ids):
+    """Distinct pages of a set of points, one ``pages_of`` range at a time."""
+    return {page for pid in point_ids for page in store.pages_of(int(pid))}
+
+
+class TestPageBitmap:
+    """The bitmap reader against a brute-force distinct-page set."""
+
+    @pytest.mark.parametrize(
+        "dim, page_size",
+        [(6, 4096), (5, 256), (300, 256), (64, 100)],  # straddling; 3+ pages wide
+    )
+    def test_counts_match_brute_force(self, dim, page_size):
+        gen = np.random.default_rng(dim)
+        n = 3000
+        store = VectorStore(gen.standard_normal((n, dim)), page_size=page_size,
+                            layout_order=gen.permutation(n))
+        reader = store.reader()
+        expected: set[int] = set()
+        for _ in range(5):
+            ids = gen.integers(0, n, size=int(gen.integers(0, 400)))
+            reader.get_many(ids)
+            single = int(gen.integers(0, n))
+            reader.get(single)
+            expected |= _brute_pages(store, ids.tolist() + [single])
+            assert reader.pages_touched == len(expected)
+            assert set(np.flatnonzero(reader._touched).tolist()) == expected
+
+    def test_wide_vectors_span_three_or_more_pages(self):
+        store = VectorStore(np.zeros((10, 300)), page_size=256)  # 1200-byte stride
+        assert max(len(store.pages_of(i)) for i in range(10)) >= 5
+        reader = store.reader()
+        reader.get_many(np.array([3]))
+        assert reader.pages_touched == len(store.pages_of(3))
+
+    def test_charge_counts_pages_and_vectors_is_the_store(self):
+        store = _store()  # 4 points/page
+        reader = store.reader()
+        reader.charge(np.array([0, 5]))
+        assert reader.pages_touched == 2
+        assert reader.vectors is store._vectors
+
+
+class TestExpandRuns:
+    def test_matches_concatenated_aranges(self):
+        starts = np.array([5, 0, 9, 9, 20])
+        stops = np.array([8, 0, 12, 9, 21])
+        expected = np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])
+        out = expand_runs(starts, stops)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, expected)
+
+    def test_no_runs(self):
+        out = expand_runs(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        assert out.shape == (0,) and out.dtype == np.int64

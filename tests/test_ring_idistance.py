@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.promips import ProMIPS, ProMIPSParams
 from repro.index.ring_idistance import RingIDistance
 from repro.storage.pagefile import AccessCounter, VectorStore
 
@@ -110,6 +111,87 @@ class TestRangeSearch:
         for sp in ring.subpartitions[:30]:
             slots = np.sort(slot_of[sp.member_ids])
             assert np.array_equal(slots, np.arange(slots[0], slots[0] + len(slots)))
+
+
+class TestRunReads:
+    """Range search reads sub-partitions as slot runs of the §VI layout."""
+
+    def test_slot_runs_hold_member_ids(self, ring, points):
+        restored = RingIDistance.from_state(points, ring.state())
+        for index in (ring, restored):
+            for i, sp in enumerate(index.subpartitions):
+                start = index._sp_slot_start[i]
+                run = index.layout_order[start : start + index._sp_size[i]]
+                assert np.array_equal(run, sp.member_ids)
+
+    @pytest.mark.parametrize("layout", ["ring", "identity", "shuffled"])
+    @pytest.mark.parametrize("page_size", [4096, 256, 64])
+    def test_charges_the_pages_of_get_many(self, ring, points, page_size, layout):
+        # Any store layout: the ring's own (runs are page ranges) or not.
+        order = {
+            "ring": ring.layout_order,
+            "identity": None,
+            "shuffled": np.random.default_rng(7).permutation(len(points)),
+        }[layout]
+        store = VectorStore(points, page_size=page_size, layout_order=order)
+        gen = np.random.default_rng(page_size)
+        for radius in (0.3, 1.0, 2.5):
+            query = gen.standard_normal(5)
+            runs, by_ids = store.reader(), store.reader()
+            ring.range_search(query, radius, reader=runs)
+            chosen = ring._candidate_subpartitions(query, radius, None)
+            member_ids = [ring.subpartitions[i].member_ids for i in chosen]
+            by_ids.get_many(np.concatenate(member_ids) if member_ids else np.array([], int))
+            assert np.array_equal(runs._touched, by_ids._touched)
+
+
+def _reference_range_search(ring, points, query, radius, min_radius):
+    """Member-by-member candidate read + distance test + stable sort."""
+    chosen = ring._candidate_subpartitions(query, radius, None)
+    ids = np.concatenate([ring.subpartitions[i].member_ids for i in chosen])
+    dists = np.linalg.norm(points[ids] - query[None, :], axis=1)
+    mask = (dists <= radius) & (dists > min_radius)
+    order = np.argsort(dists[mask], kind="stable")
+    return ids[mask][order], dists[mask][order]
+
+
+class TestDuplicateRows:
+    """Exact duplicate rows give equal distances: the order must stay the
+    stable-sort order, and search/search_many must stay bit-identical."""
+
+    @pytest.fixture(scope="class")
+    def dup_points(self):
+        gen = np.random.default_rng(31)
+        base = gen.standard_normal((300, 5))
+        return base[gen.permutation(np.repeat(np.arange(300), 4))]
+
+    def test_range_search_keeps_stable_order(self, dup_points):
+        ring = RingIDistance(dup_points, kp=3, n_key=8, ksp=4,
+                             rng=np.random.default_rng(32))
+        gen = np.random.default_rng(33)
+        saw_ties = False
+        for radius, min_radius in ((1.0, -1.0), (2.0, 0.5), (4.0, -1.0)):
+            query = dup_points[int(gen.integers(0, len(dup_points)))]
+            ids, dists = ring.range_search(query, radius, min_radius=min_radius)
+            ref_ids, ref_dists = _reference_range_search(
+                ring, dup_points, query, radius, min_radius
+            )
+            assert np.array_equal(ids, ref_ids)
+            assert np.array_equal(dists, ref_dists)
+            saw_ties |= bool((dists[1:] == dists[:-1]).any())
+        assert saw_ties
+
+    def test_search_many_bit_identical_to_search(self, dup_points):
+        gen = np.random.default_rng(34)
+        index = ProMIPS.build(dup_points, ProMIPSParams(), rng=35)
+        queries = dup_points[gen.integers(0, len(dup_points), size=12)]
+        batch = index.search_many(queries, k=7)
+        for i, query in enumerate(queries):
+            single = index.search(query, k=7)
+            assert np.array_equal(batch[i].ids, single.ids)
+            assert np.array_equal(batch[i].scores, single.scores)
+            assert batch[i].stats.pages == single.stats.pages
+            assert batch[i].stats.candidates == single.stats.candidates
 
 
 class TestKnnIterate:

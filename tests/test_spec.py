@@ -12,7 +12,7 @@ from repro.baselines.rangelsh import RangeLSH
 from repro.baselines.simhash import SimHashMIPS
 from repro.core.dynamic import DynamicProMIPS
 from repro.core.promips import ProMIPS
-from repro.core.rng import resolve_rng
+from repro.core.rng import generator_state, resolve_rng, restore_generator
 from repro.spec import (
     IndexSpec,
     build_index,
@@ -184,6 +184,22 @@ class TestResolveRng:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             resolve_rng(0.5)
+
+
+class TestGeneratorState:
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_restore_resumes_at_the_saved_position(self, bit_generator):
+        gen = np.random.Generator(bit_generator(7))
+        gen.standard_normal(11)  # move off the seed position
+        blob = generator_state(gen)
+        assert blob.dtype == np.uint8
+        restored = restore_generator(blob)
+        assert np.array_equal(restored.standard_normal(5), gen.standard_normal(5))
+
+    def test_rejects_a_non_bit_generator(self):
+        blob = np.frombuffer(b'{"bit_generator": "seed"}', dtype=np.uint8)
+        with pytest.raises(ValueError):
+            restore_generator(blob)
 
 
 class TestHarnessRegistrySpecs:
