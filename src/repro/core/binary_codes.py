@@ -3,7 +3,9 @@
 Each projected point ``P(o)`` is turned into an ``m``-bit code
 ``c(o) = (c_1(o), …, c_m(o))`` with ``c_i(o) = 1`` iff ``P_i(o) ≥ 0``.
 Points sharing a code form a *group*; within a group points are sorted by
-the 1-norm of their **original** vectors.
+the 1-norm of their **original** vectors.  All groups live in one sorted
+member array cut by group offsets, so every per-group summary is one array
+gather rather than a per-group object.
 
 Two bounds make the codes useful (Theorems 3 and 4):
 
@@ -18,8 +20,6 @@ Quick-Probe thresholds with ``Ψm⁻¹(p)``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,20 +69,19 @@ def group_lower_bounds(
     return (xor @ np.asarray(query_abs_proj, dtype=np.float64)) / np.sqrt(m)
 
 
-@dataclass(frozen=True)
-class _Group:
-    code: int
-    member_ids: np.ndarray  # sorted ascending by original 1-norm
-    min_l1_id: int
-    min_l1: float
-
-
 class BinaryCodeGroups:
     """The Quick-Probe pre-processing artefact (§V-A, pre-process step).
 
     Groups projected points by binary code; members are sorted ascending by
     the 1-norm of their original vectors so "the point whose ‖o‖₁ is the
-    smallest" (Algorithm 2 line 7) is the first member.
+    smallest" (Algorithm 2 line 7) is the first member.  The structure is
+    two flat arrays: ``order`` (point ids, grouped by ascending code and
+    sorted by 1-norm inside each group) and ``offsets`` (group ``g`` is
+    ``order[offsets[g]:offsets[g + 1]]``, see :meth:`members`).  The group
+    summaries Quick-Probe reads are gathers at each group's first member:
+    ``min_l1_ids`` (``(G,)`` point id of the smallest original 1-norm),
+    ``min_l1`` (that 1-norm) and ``group_bits`` (``(G, m)`` sign bits of the
+    group's code).
 
     Args:
         projected: ``(n, m)`` projected points.
@@ -102,51 +101,20 @@ class BinaryCodeGroups:
 
         bits = sign_bits(projected)
         codes = pack_code(bits)
-        order = np.lexsort((l1_norms, codes))
-        sorted_codes = codes[order]
-        cuts = np.flatnonzero(np.diff(sorted_codes) != 0) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [self.n]))
-
-        self._groups: list[_Group] = []
-        group_bits = np.empty((len(starts), self.m), dtype=np.uint8)
-        for g, (s, e) in enumerate(zip(starts, ends)):
-            ids = order[s:e].astype(np.int64)
-            code = int(sorted_codes[s])
-            group_bits[g] = bits[ids[0]]
-            self._groups.append(
-                _Group(
-                    code=code,
-                    member_ids=ids,
-                    min_l1_id=int(ids[0]),
-                    min_l1=float(l1_norms[ids[0]]),
-                )
-            )
-        self._group_bits = group_bits
-        self._min_l1 = np.array([g.min_l1 for g in self._groups])
-        self._min_l1_ids = np.array([g.min_l1_id for g in self._groups], dtype=np.int64)
+        self.order = np.lexsort((l1_norms, codes))
+        cuts = np.flatnonzero(np.diff(codes[self.order]) != 0) + 1
+        self.offsets = np.concatenate(([0], cuts, [self.n]))
+        self.min_l1_ids = self.order[self.offsets[:-1]]
+        self.group_bits = bits[self.min_l1_ids]
+        self.min_l1 = l1_norms[self.min_l1_ids]
 
     @property
     def n_groups(self) -> int:
-        return len(self._groups)
+        return self.offsets.size - 1
 
-    @property
-    def group_bits(self) -> np.ndarray:
-        """``(G, m)`` sign bits of each group's code."""
-        return self._group_bits
-
-    @property
-    def min_l1(self) -> np.ndarray:
-        """``(G,)`` smallest original 1-norm in each group."""
-        return self._min_l1
-
-    @property
-    def min_l1_ids(self) -> np.ndarray:
-        """``(G,)`` point id achieving :attr:`min_l1` per group."""
-        return self._min_l1_ids
-
-    def group(self, index: int) -> _Group:
-        return self._groups[index]
+    def members(self, g: int) -> np.ndarray:
+        """Point ids of group ``g``, ascending by original 1-norm (a view)."""
+        return self.order[self.offsets[g] : self.offsets[g + 1]]
 
     def lower_bounds(self, query_projected: np.ndarray) -> np.ndarray:
         """Theorem 3 lower bound of every group against ``P(q)``."""
@@ -156,7 +124,7 @@ class BinaryCodeGroups:
                 f"query has projected dimension {query_projected.shape[0]}, expected {self.m}"
             )
         qbits = sign_bits(query_projected)
-        return group_lower_bounds(self._group_bits, qbits, np.abs(query_projected))
+        return group_lower_bounds(self.group_bits, qbits, np.abs(query_projected))
 
     def size_bytes(self) -> int:
         """Binary codes (m bits per point) + per-point 1-norms, as stored for

@@ -28,9 +28,9 @@ concurrent query for the whole build.  The **generational protocol**
 (:mod:`repro.core.maintenance`) splits it into three phases so an engine can
 run the expensive part off the lock::
 
-    ticket = index.begin_rebuild()        # under lock: O(live) snapshot
-    built  = index.build_generation(ticket)  # off lock: the bulk load
-    index.commit_rebuild(ticket, built)   # under lock: swap + replay drift
+    ticket = index.begin_rebuild()           # under lock: O(live) snapshot
+    staged = index.build_generation(ticket)  # off lock: the bulk load
+    index.commit_rebuild(ticket, staged)     # under lock: swap + replay drift
 
 Mutations that land between ``begin`` and ``commit`` are *replayed* into
 the new generation at commit time: inserts become its delta buffer,
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 from repro.api import (
     BatchResult,
@@ -71,7 +71,25 @@ from repro.core.promips import ProMIPS, ProMIPSParams
 from repro.core.rng import generator_state, resolve_rng, restore_generator
 from repro.spec import IndexSpec, register_method
 
-__all__ = ["DynamicProMIPS"]
+__all__ = ["DynamicProMIPS", "StagedGeneration"]
+
+
+@dataclass(frozen=True)
+class StagedGeneration:
+    """The next generation, prepared off the lock by
+    :meth:`DynamicProMIPS.build_generation` for
+    :meth:`DynamicProMIPS.commit_rebuild`.
+
+    Attributes:
+        index: the inner :class:`ProMIPS` bulk-loaded over the snapshot.
+        buffer: the new vector buffer — snapshot rows already in place,
+            spare rows for the inserts that land during the build.
+        snapshot_map: external id → buffer row for the snapshot.
+    """
+
+    index: ProMIPS
+    buffer: np.ndarray
+    snapshot_map: dict[int, int]
 
 
 @register_method("dynamic", aliases=("Dynamic", "DynamicProMIPS"))
@@ -431,14 +449,14 @@ class DynamicProMIPS:
             self._rebuild_in_progress = False
             raise
 
-    def build_generation(self, ticket: RebuildTicket) -> ProMIPS:
+    def build_generation(self, ticket: RebuildTicket) -> StagedGeneration:
         """Bulk-load the next generation (expensive; run OFF the lock).
 
         Also stages the new generation's vector buffer (snapshot rows
         already copied in, spare capacity for the drift accumulating while
-        we build) and its external→index map on the ticket, so the commit's
-        lock-held phase is O(drift) row copies plus C-speed id scans — not
-        an O(live × d) memcpy stalling every query behind the lock.
+        we build) and its external→index map, so the commit's lock-held
+        phase is O(drift) row copies plus C-speed id scans — not an
+        O(live × d) memcpy stalling every query behind the lock.
         """
         built = ProMIPS.build(ticket.vectors, self.params, rng=self._rng)
         n_indexed = ticket.live_ids.size
@@ -450,15 +468,10 @@ class DynamicProMIPS:
         capacity = n_indexed + min(2 * drift_hint + 8, max(64, n_indexed))
         buffer = np.empty((max(8, capacity), self.dim), dtype=np.float64)
         buffer[:n_indexed] = ticket.vectors
-        ticket.prepared = {
-            "snapshot_map": {
-                int(e): pos for pos, e in enumerate(ticket.live_ids.tolist())
-            },
-            "buffer": buffer,
-        }
-        return built
+        snapshot_map = {int(e): pos for pos, e in enumerate(ticket.live_ids.tolist())}
+        return StagedGeneration(built, buffer, snapshot_map)
 
-    def commit_rebuild(self, ticket: RebuildTicket, built: ProMIPS) -> dict:
+    def commit_rebuild(self, ticket: RebuildTicket, staged: StagedGeneration) -> dict:
         """Swap the new generation in and replay drift (cheap; under lock:
         O(drift) row copies plus C-speed id scans and one dict copy — the
         buffer and map were staged off-lock by :meth:`build_generation`).
@@ -492,20 +505,12 @@ class DynamicProMIPS:
             # Inserts that landed during the build, still live.
             replayed = sorted(e for e in self._delta if e >= ticket.next_id)
 
-            prepared = ticket.prepared or {}
-            staged = prepared.get("buffer")
+            buf = staged.buffer
             need = n_indexed + len(replayed)
-            if staged is not None and staged.shape[0] >= need:
-                buf = staged  # snapshot rows already in place, off-lock
-            else:  # commit without build_generation, or drift > headroom
-                buf = np.empty((max(8, need), self.dim), dtype=np.float64)
+            if buf.shape[0] < need:  # drift larger than the staged headroom
+                buf = np.empty((need, self.dim), dtype=np.float64)
                 buf[:n_indexed] = ticket.vectors
-            snapshot_map = prepared.get("snapshot_map")
-            if snapshot_map is None:  # commit without build_generation
-                snapshot_map = {
-                    int(e): pos for pos, e in enumerate(live_ids.tolist())
-                }
-            row_of_external = dict(snapshot_map)  # C-speed copy, then drift
+            row_of_external = dict(staged.snapshot_map)  # C-speed copy, then drift
             delta: dict[int, int] = {}
             for j, ext in enumerate(replayed):
                 row = n_indexed + j
@@ -523,8 +528,8 @@ class DynamicProMIPS:
             self._n_rows = n_rows
             self._row_of_external = row_of_external
             self._install_generation(
-                built, live_ids.copy(), delta, dead,
-                indexed_of_external=snapshot_map,
+                staged.index, live_ids.copy(), delta, dead,
+                indexed_of_external=staged.snapshot_map,
             )
             self.rebuilds += 1
             self.reclaimed_bytes += reclaimed
@@ -533,7 +538,7 @@ class DynamicProMIPS:
                 "replayed_inserts": len(replayed),
                 "replayed_deletes": len(dead),
                 "live_points": self.n_live,
-                "indexed_points": built.n,
+                "indexed_points": staged.index.n,
             }
         finally:
             self._rebuild_in_progress = False
@@ -550,11 +555,11 @@ class DynamicProMIPS:
         """
         ticket = self.begin_rebuild()
         try:
-            built = self.build_generation(ticket)
+            staged = self.build_generation(ticket)
         except BaseException:
             self.abort_rebuild(ticket)
             raise
-        return self.commit_rebuild(ticket, built)
+        return self.commit_rebuild(ticket, staged)
 
     # --------------------------------------------------------------- search
 

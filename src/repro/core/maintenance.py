@@ -17,9 +17,10 @@ canonical implementation):
   threshold), or ``None``;
 * ``begin_rebuild() -> RebuildTicket`` — snapshot the live vector set
   (called under the serving lock; O(live) copy, no index build);
-* ``build_generation(ticket)`` — bulk-load the next generation from the
-  snapshot (called **off** the lock; the expensive part);
-* ``commit_rebuild(ticket, built) -> dict`` — atomically swap the new
+* ``build_generation(ticket) -> staged`` — bulk-load the next generation
+  from the snapshot (called **off** the lock; the expensive part); the
+  returned object is opaque to the engine and only handed to the commit;
+* ``commit_rebuild(ticket, staged) -> dict`` — atomically swap the new
   generation in and *replay* the mutations that landed during the build
   (under the lock again; O(drift));
 * ``abort_rebuild(ticket)`` — drop an in-flight generation after a failed
@@ -58,16 +59,11 @@ class RebuildTicket:
         next_id: the id counter at snapshot time — every id ``>= next_id``
             seen at commit was inserted *during* the build and replays into
             the new generation's delta buffer.
-        prepared: id-mapping tables for the snapshot, pre-computed OFF the
-            lock by ``build_generation`` so the commit's lock-held work
-            stays O(drift) plus one C-speed dict copy rather than an
-            O(live) Python loop.
     """
 
     live_ids: np.ndarray
     vectors: np.ndarray
     next_id: int
-    prepared: dict | None = None
 
 
 def maintenance_targets(index) -> list[tuple[str, object]]:
@@ -187,9 +183,9 @@ class MaintenanceEngine:
             self._cursor = (pos + 1) % n
             start = time.perf_counter()
             try:
-                built = target.build_generation(ticket)
+                staged = target.build_generation(ticket)
                 with self._lock:
-                    report = target.commit_rebuild(ticket, built)
+                    report = target.commit_rebuild(ticket, staged)
                     # Inside the lock: a search that computed against the
                     # old generation and races its cache put against this
                     # swap must see the bumped generation (and be refused),

@@ -35,6 +35,17 @@ class StableProjection:
         self.proj_dim = int(proj_dim)
         self._matrix = rng.standard_normal((proj_dim, dim))
 
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray) -> "StableProjection":
+        """The projection with a given ``(m, d)`` matrix (e.g. a persisted one)."""
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or 0 in matrix.shape:
+            raise ValueError(f"matrix must be a non-empty (m, d) array, got {matrix.shape}")
+        self = cls.__new__(cls)
+        self.proj_dim, self.dim = matrix.shape
+        self._matrix = matrix
+        return self
+
     @property
     def matrix(self) -> np.ndarray:
         """The ``(m, d)`` projection matrix (rows are the vectors ``v_i``)."""

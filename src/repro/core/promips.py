@@ -98,7 +98,11 @@ class ProMIPS:
     """Probability-guaranteed c-AMIP index with a lightweight iDistance.
 
     Use :meth:`build` (or ``repro.build_index`` with a ``"promips(...)"``
-    spec); the constructor wires pre-computed pieces together.
+    spec) or :meth:`from_state`; both end in the constructor, which takes the
+    two artefacts that cost k-means or random draws — the projection and the
+    ring iDistance over ``projected`` — and derives the rest: the binary-code
+    groups and Quick-Probe, both paged stores in the ring's disk layout, and
+    ``max_norm_sq``.
     """
 
     def __init__(
@@ -107,37 +111,25 @@ class ProMIPS:
         params: ProMIPSParams,
         projection: StableProjection,
         projected: np.ndarray,
-        groups: BinaryCodeGroups,
-        quickprobe: QuickProbe,
         ring: RingIDistance,
-        orig_store: VectorStore,
-        proj_store: VectorStore,
-        l1_norms: np.ndarray | None = None,
     ) -> None:
         self._data = data
         self.params = params
         self.n, self.dim = data.shape
         self.projection = projection
-        self._projected = projected
         self.m = projection.proj_dim
-        self.groups = groups
-        self.quickprobe = quickprobe
         self.ring = ring
-        self.orig_store = orig_store
-        self.proj_store = proj_store
-
-        if l1_norms is None:
-            l1_norms = np.abs(data).sum(axis=1)
-        else:
-            l1_norms = np.asarray(l1_norms, dtype=np.float64)
-            if l1_norms.shape != (self.n,):
-                raise ValueError(
-                    f"l1_norms must have shape ({self.n},), got {l1_norms.shape}"
-                )
-        self._l1_norms = l1_norms
-        self._norm_sq = np.einsum("ij,ij->i", data, data)
-        self.max_norm_sq = float(self._norm_sq.max())
-        self._chi2 = quickprobe.chi2
+        self.groups = BinaryCodeGroups(projected, np.abs(data).sum(axis=1))
+        self.quickprobe = QuickProbe(self.groups)
+        self.orig_store = VectorStore(
+            data, params.page_size, layout_order=ring.layout_order, label="promips-orig"
+        )
+        self.proj_store = VectorStore(
+            projected, params.page_size, layout_order=ring.layout_order,
+            label="promips-proj",
+        )
+        self.max_norm_sq = float(np.einsum("ij,ij->i", data, data).max())
+        self._chi2 = self.quickprobe.chi2
         self._verifier = CandidateVerifier(self._chi2, self.max_norm_sq)
 
     # ------------------------------------------------------------------ build
@@ -170,9 +162,6 @@ class ProMIPS:
 
         projection = StableProjection(d, m, rng)
         projected = projection.project(data)
-        l1_norms = np.abs(data).sum(axis=1)
-        groups = BinaryCodeGroups(projected, l1_norms)
-        quickprobe = QuickProbe(groups)
         ring = RingIDistance(
             projected,
             kp=params.kp,
@@ -182,16 +171,7 @@ class ProMIPS:
             epsilon=params.epsilon,
             order=params.tree_order,
         )
-        orig_store = VectorStore(
-            data, params.page_size, layout_order=ring.layout_order, label="promips-orig"
-        )
-        proj_store = VectorStore(
-            projected, params.page_size, layout_order=ring.layout_order, label="promips-proj"
-        )
-        return cls(
-            data, params, projection, projected, groups, quickprobe, ring,
-            orig_store, proj_store, l1_norms=l1_norms,
-        )
+        return cls(data, params, projection, projected, ring)
 
     # ------------------------------------------------------- registry contract
 
@@ -231,32 +211,14 @@ class ProMIPS:
         """Reconstruct a built index from :meth:`spec` + :meth:`state` output."""
         params = ProMIPSParams(**spec.params)
         data = np.asarray(state["data"], dtype=np.float64)
-        matrix = np.asarray(state["projection_matrix"], dtype=np.float64)
         ring_state = {
             key[len("ring_"):]: state[key] for key in state if key.startswith("ring_")
         }
 
-        projection = StableProjection.__new__(StableProjection)
-        projection.dim = data.shape[1]
-        projection.proj_dim = matrix.shape[0]
-        projection._matrix = matrix
-
+        projection = StableProjection.from_matrix(state["projection_matrix"])
         projected = projection.project(data)
-        l1_norms = np.abs(data).sum(axis=1)
-        groups = BinaryCodeGroups(projected, l1_norms)
-        quickprobe = QuickProbe(groups)
         ring = RingIDistance.from_state(projected, ring_state, order=params.tree_order)
-        orig_store = VectorStore(
-            data, params.page_size, layout_order=ring.layout_order, label="promips-orig"
-        )
-        proj_store = VectorStore(
-            projected, params.page_size, layout_order=ring.layout_order,
-            label="promips-proj",
-        )
-        return cls(
-            data, params, projection, projected, groups, quickprobe, ring,
-            orig_store, proj_store, l1_norms=l1_norms,
-        )
+        return cls(data, params, projection, projected, ring)
 
     # ------------------------------------------------------------------- size
 

@@ -2,12 +2,11 @@
 
 from repro.index.bptree import BPlusTree, LeafCursor
 from repro.index.idistance import IDistanceIndex
-from repro.index.ring_idistance import RingIDistance, SubPartition
+from repro.index.ring_idistance import RingIDistance
 
 __all__ = [
     "BPlusTree",
     "LeafCursor",
     "IDistanceIndex",
     "RingIDistance",
-    "SubPartition",
 ]

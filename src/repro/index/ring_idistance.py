@@ -12,12 +12,12 @@ The pattern differs from standard iDistance in two ways:
    query sphere, and the points of a sub-partition are laid out contiguously
    on disk (sequential reads instead of random ones).
 
-The B+-tree maps each ring key to the descriptors of its sub-partitions.
+The B+-tree maps each ring key to the indices of its sub-partitions; every
+sub-partition is one row of the flat descriptor arrays (``sp_keys``,
+``sp_pivots``, ``sp_radii``) and one slot run of ``layout_order``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,28 +25,17 @@ from repro.cluster.kmeans import kmeans
 from repro.index.bptree import BPlusTree
 from repro.storage.pagefile import AccessCounter, VectorReader, expand_runs
 
-__all__ = ["SubPartition", "RingIDistance"]
-
-
-@dataclass(frozen=True)
-class SubPartition:
-    """Descriptor of one sub-partition (a cluster inside a ring).
-
-    Attributes:
-        key: ring key this sub-partition belongs to (Formula 6).
-        pivot: cluster centre in the projected space.
-        radius: max distance of a member from the pivot.
-        member_ids: point ids, stored contiguously on disk in this order.
-    """
-
-    key: int
-    pivot: np.ndarray
-    radius: float
-    member_ids: np.ndarray
+__all__ = ["RingIDistance"]
 
 
 class RingIDistance:
     """The paper's iDistance variant (Algorithm 4).
+
+    Sub-partition ``i`` is described by ``sp_keys[i]`` (its ring key,
+    Formula 6), ``sp_pivots[i]`` and ``sp_radii[i]`` (its bounding sphere in
+    the projected space); its members are the slot run
+    ``layout_order[sp_offsets[i]:sp_offsets[i + 1]]`` (see :meth:`members`),
+    stored contiguously on disk in that order.
 
     Args:
         points: ``(n, m)`` projected points to index.
@@ -73,117 +62,68 @@ class RingIDistance:
             raise ValueError(f"points must be a non-empty 2-D array, got {points.shape}")
         if n_key <= 0:
             raise ValueError(f"n_key must be positive, got {n_key}")
-        self._points = points
-        self.n, self.dim = points.shape
-        self.n_key = int(n_key)
-        self.ksp = int(ksp)
+        n = points.shape[0]
 
         clustering = kmeans(points, kp, rng)
-        self.centers = clustering.centers
-        self.kp = clustering.n_clusters
-
-        dist_to_center = np.linalg.norm(points - self.centers[clustering.labels], axis=1)
+        dist_to_center = np.linalg.norm(
+            points - clustering.centers[clustering.labels], axis=1
+        )
         r_avg = float(clustering.radii.mean())
         if epsilon is None:
             epsilon = r_avg / n_key if r_avg > 0 else 1.0
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        self.epsilon = float(epsilon)
 
-        rings = np.floor(dist_to_center / self.epsilon).astype(np.int64)
+        rings = np.floor(dist_to_center / epsilon).astype(np.int64)
         # C separates key ranges of different partitions (Formula 6's constant).
-        self.C = int(rings.max()) + 2
-        self.max_ring = np.full(self.kp, -1, dtype=np.int64)
-        for i in range(self.kp):
-            members = clustering.labels == i
-            if members.any():
-                self.max_ring[i] = int(rings[members].max())
+        C = int(rings.max()) + 2
+        max_ring = np.full(clustering.n_clusters, -1, dtype=np.int64)
+        np.maximum.at(max_ring, clustering.labels, rings)
 
         # Second clustering stage: ksp-means inside every (partition, ring).
-        self.subpartitions: list[SubPartition] = []
+        # Cuts follow (partition, ring) order, so keys come out ascending.
+        keys: list[int] = []
+        pivots: list[np.ndarray] = []
+        radii: list[float] = []
         layout: list[np.ndarray] = []
         group_order = np.lexsort((rings, clustering.labels))
         boundaries = np.flatnonzero(
             np.diff(clustering.labels[group_order]) != 0
         ) + 1
         ring_change = np.flatnonzero(np.diff(rings[group_order]) != 0) + 1
-        cuts = np.unique(np.concatenate(([0], boundaries, ring_change, [self.n])))
-        tree_items: list[tuple[int, int]] = []
+        cuts = np.unique(np.concatenate(([0], boundaries, ring_change, [n])))
         for start, end in zip(cuts[:-1], cuts[1:]):
             member_idx = group_order[start:end]
-            part = int(clustering.labels[member_idx[0]])
-            ring = int(rings[member_idx[0]])
-            key = part * self.C + ring
+            key = int(clustering.labels[member_idx[0]]) * C + int(rings[member_idx[0]])
             sub = kmeans(points[member_idx], ksp, rng)
             for j in range(sub.n_clusters):
                 local = sub.cluster_members(j)
                 if local.size == 0:
                     continue
-                ids = member_idx[local].astype(np.int64)
-                sp = SubPartition(
-                    key=key,
-                    pivot=sub.centers[j],
-                    radius=float(sub.radii[j]),
-                    member_ids=ids,
-                )
-                tree_items.append((key, len(self.subpartitions)))
-                self.subpartitions.append(sp)
-                layout.append(ids)
+                keys.append(key)
+                pivots.append(sub.centers[j])
+                radii.append(float(sub.radii[j]))
+                layout.append(member_idx[local])
 
-        self.layout_order = np.concatenate(layout).astype(np.int64)
-        tree_items.sort(key=lambda kv: kv[0])
-        self._tree = BPlusTree.bulk_load(tree_items, order=order)
-        self._cache_subpartition_arrays()
+        self._install(points, {
+            "centers": clustering.centers,
+            "epsilon": np.array([epsilon], dtype=np.float64),
+            "C": np.array([C], dtype=np.int64),
+            "n_key": np.array([n_key], dtype=np.int64),
+            "ksp": np.array([ksp], dtype=np.int64),
+            "max_ring": max_ring,
+            "sp_keys": np.array(keys, dtype=np.int64),
+            "sp_pivots": np.stack(pivots),
+            "sp_radii": np.array(radii),
+            "sp_offsets": np.cumsum([0] + [ids.size for ids in layout]),
+            "layout_order": np.concatenate(layout),
+        }, order)
 
-    def _cache_subpartition_arrays(self) -> None:
-        """Vectorized views of the descriptors (hot path of range search).
-
-        ``layout_order`` concatenates the sub-partitions' ``member_ids`` in
-        ``subpartitions`` order, so sub-partition ``i`` occupies the slot run
-        ``[_sp_slot_start[i], _sp_slot_start[i] + _sp_size[i])``.
-        """
-        self._sp_pivots = np.stack([sp.pivot for sp in self.subpartitions])
-        self._sp_radii = np.array([sp.radius for sp in self.subpartitions])
-        self._sp_size = np.array(
-            [sp.member_ids.size for sp in self.subpartitions], dtype=np.int64
-        )
-        self._sp_slot_start = np.cumsum(self._sp_size) - self._sp_size
-
-    # -------------------------------------------------------- persistence
-
-    def state(self) -> dict[str, np.ndarray]:
-        """Geometry of the index as plain arrays (for serialization).
-
-        Together with the projected points this is sufficient to rebuild the
-        index without re-running either k-means stage.
-        """
-        pivots = np.stack([sp.pivot for sp in self.subpartitions])
-        return {
-            "centers": self.centers,
-            "epsilon": np.array([self.epsilon]),
-            "C": np.array([self.C], dtype=np.int64),
-            "n_key": np.array([self.n_key], dtype=np.int64),
-            "ksp": np.array([self.ksp], dtype=np.int64),
-            "max_ring": self.max_ring,
-            "sp_keys": np.array([sp.key for sp in self.subpartitions], dtype=np.int64),
-            "sp_pivots": pivots,
-            "sp_radii": np.array([sp.radius for sp in self.subpartitions]),
-            "sp_offsets": np.cumsum(
-                [0] + [sp.member_ids.size for sp in self.subpartitions]
-            ).astype(np.int64),
-            "sp_members": np.concatenate(
-                [sp.member_ids for sp in self.subpartitions]
-            ).astype(np.int64),
-            "layout_order": self.layout_order,
-        }
-
-    @classmethod
-    def from_state(
-        cls, points: np.ndarray, state: dict[str, np.ndarray], order: int = 64
-    ) -> "RingIDistance":
-        """Rebuild an index from :meth:`state` output (no clustering runs)."""
-        self = object.__new__(cls)
-        points = np.asarray(points, dtype=np.float64)
+    def _install(
+        self, points: np.ndarray, state: dict[str, np.ndarray], order: int
+    ) -> None:
+        """Set the geometry arrays from :meth:`state`-shaped input and
+        bulk-load the B+-tree over the sub-partition keys."""
         self._points = points
         self.n, self.dim = points.shape
         self.centers = np.asarray(state["centers"], dtype=np.float64)
@@ -193,26 +133,49 @@ class RingIDistance:
         self.n_key = int(state["n_key"][0])
         self.ksp = int(state["ksp"][0])
         self.max_ring = np.asarray(state["max_ring"], dtype=np.int64)
-
-        offsets = state["sp_offsets"]
-        members = state["sp_members"]
-        self.subpartitions = []
-        tree_items: list[tuple[int, int]] = []
-        for i, key in enumerate(state["sp_keys"].tolist()):
-            ids = members[offsets[i] : offsets[i + 1]]
-            self.subpartitions.append(
-                SubPartition(
-                    key=int(key),
-                    pivot=np.asarray(state["sp_pivots"][i], dtype=np.float64),
-                    radius=float(state["sp_radii"][i]),
-                    member_ids=np.asarray(ids, dtype=np.int64),
-                )
-            )
-            tree_items.append((int(key), i))
+        self.sp_keys = np.asarray(state["sp_keys"], dtype=np.int64)
+        self.sp_pivots = np.asarray(state["sp_pivots"], dtype=np.float64)
+        self.sp_radii = np.asarray(state["sp_radii"], dtype=np.float64)
+        self.sp_offsets = np.asarray(state["sp_offsets"], dtype=np.int64)
         self.layout_order = np.asarray(state["layout_order"], dtype=np.int64)
-        tree_items.sort(key=lambda kv: kv[0])
-        self._tree = BPlusTree.bulk_load(tree_items, order=order)
-        self._cache_subpartition_arrays()
+        by_key = np.argsort(self.sp_keys, kind="stable")
+        self._tree = BPlusTree.bulk_load(
+            zip(self.sp_keys[by_key].tolist(), by_key.tolist()), order=order
+        )
+
+    # -------------------------------------------------------- persistence
+
+    def state(self) -> dict[str, np.ndarray]:
+        """Geometry of the index as plain arrays (for serialization).
+
+        Together with the projected points this is sufficient to rebuild the
+        index without re-running either k-means stage.
+        """
+        return {
+            "centers": self.centers,
+            "epsilon": np.array([self.epsilon]),
+            "C": np.array([self.C], dtype=np.int64),
+            "n_key": np.array([self.n_key], dtype=np.int64),
+            "ksp": np.array([self.ksp], dtype=np.int64),
+            "max_ring": self.max_ring,
+            "sp_keys": self.sp_keys,
+            "sp_pivots": self.sp_pivots,
+            "sp_radii": self.sp_radii,
+            "sp_offsets": self.sp_offsets,
+            "layout_order": self.layout_order,
+        }
+
+    @classmethod
+    def from_state(
+        cls, points: np.ndarray, state: dict[str, np.ndarray], order: int = 64
+    ) -> "RingIDistance":
+        """Rebuild an index from :meth:`state` output (no clustering runs).
+
+        Envelopes written before 1.8 also carry ``sp_members``, a copy of
+        ``layout_order``; it is ignored.
+        """
+        self = object.__new__(cls)
+        self._install(np.asarray(points, dtype=np.float64), state, order)
         return self
 
     @property
@@ -221,22 +184,21 @@ class RingIDistance:
 
     @property
     def n_subpartitions(self) -> int:
-        return len(self.subpartitions)
+        return self.sp_keys.size
+
+    def members(self, i: int) -> np.ndarray:
+        """Point ids of sub-partition ``i``, in on-disk order (a view)."""
+        return self.layout_order[self.sp_offsets[i] : self.sp_offsets[i + 1]]
 
     def index_size_bytes(self, page_size: int) -> int:
         """B+-tree nodes plus sub-partition descriptors (pivot, radius, extent)."""
-        descriptor_bytes = sum(
-            sp.pivot.nbytes + 8 + 16 for sp in self.subpartitions
-        )
+        descriptor_bytes = self.sp_pivots.nbytes + 24 * self.n_subpartitions
         meta = self.centers.nbytes + self.max_ring.nbytes
         return self._tree.size_bytes(page_size) + descriptor_bytes + meta
 
     def selectivity(self) -> float:
         """Observed ``µ = 1 / (kp·Nkey·ksp)`` analogue: mean sub-partition fraction."""
-        if not self.subpartitions:
-            return 0.0
-        sizes = np.array([sp.member_ids.size for sp in self.subpartitions])
-        return float(sizes.mean()) / self.n
+        return float(np.diff(self.sp_offsets).mean()) / self.n
 
     # ------------------------------------------------------------------ search
 
@@ -268,8 +230,8 @@ class RingIDistance:
         # One vectorized sphere-intersection test over all touched
         # descriptors replaces per-descriptor norm computations.
         sel = np.asarray(touched, dtype=np.int64)
-        pivot_dists = np.linalg.norm(self._sp_pivots[sel] - query[None, :], axis=1)
-        return sel[pivot_dists <= radius + self._sp_radii[sel]]
+        pivot_dists = np.linalg.norm(self.sp_pivots[sel] - query[None, :], axis=1)
+        return sel[pivot_dists <= radius + self.sp_radii[sel]]
 
     def range_search(
         self,
@@ -297,8 +259,9 @@ class RingIDistance:
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
         chosen = self._candidate_subpartitions(query, radius, tree_counter)
-        starts = self._sp_slot_start[chosen]
-        ids = self.layout_order[expand_runs(starts, starts + self._sp_size[chosen])]
+        ids = self.layout_order[
+            expand_runs(self.sp_offsets[chosen], self.sp_offsets[chosen + 1])
+        ]
         vecs = (
             reader.get_many(ids)
             if reader is not None

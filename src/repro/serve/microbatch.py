@@ -12,12 +12,12 @@ oldest request has waited ``max_wait_ms``), answers them with **one**
 ``search_many`` call, and delivers each caller its slice through a
 :class:`concurrent.futures.Future`.
 
-Per-request ``k`` is handled by batching at the tick's maximum ``k`` and
-trimming each answer down — exact for exact inner methods (the top-k prefix
-of a top-K list *is* the top-k), and a superset-trim for approximate ones
-(a larger ``k`` can only widen ProMIPS' probe budget).  Requests whose
-search kwargs differ (e.g. a per-request ``c`` override) never share a
-GEMM: the tick groups by kwargs and dispatches one batch per group.
+Requests share a batch only when their ``k`` and search kwargs (e.g. a
+per-request ``c`` override) match: the tick groups by ``(k, kwargs)`` and
+dispatches one batch per group.  ``k`` cannot be shared by answering at a
+larger one and trimming, because for approximate methods ``k`` is part of
+the search itself — ProMIPS' stopping conditions test the k-th best score —
+so a trimmed top-10 is not the top-1 ``index.search(q, k=1)`` returns.
 
 Queries are validated *at submit time*, so a malformed request fails fast
 in its own thread and can never poison the batch it would have joined.
@@ -43,7 +43,7 @@ class _Request:
         self.query = query
         self.k = k
         self.kwargs = kwargs
-        self.group = tuple(sorted(kwargs.items()))
+        self.group = (k, tuple(sorted(kwargs.items())))
         self.future: Future = Future()
 
 
@@ -150,18 +150,17 @@ class MicroBatcher:
                         request.future.set_exception(exc)
 
     def _dispatch(self, requests: list[_Request]) -> None:
-        # One search_many per distinct kwargs group; groups preserve arrival
-        # order, so identical-kwargs ticks (the common case) are one batch.
+        # One search_many per distinct (k, kwargs) group; groups preserve
+        # arrival order, so uniform ticks (the common case) are one batch.
         groups: dict[tuple, list[_Request]] = {}
         for request in requests:
             groups.setdefault(request.group, []).append(request)
         for members in groups.values():
-            k_max = max(r.k for r in members)
             queries = np.stack([r.query for r in members])
             try:
                 with self._index_lock:
                     batch = self._index.search_many(
-                        queries, k=k_max, **members[0].kwargs
+                        queries, k=members[0].k, **members[0].kwargs
                     )
             except BaseException as exc:  # propagate to every waiter
                 for request in members:
@@ -170,12 +169,7 @@ class MicroBatcher:
             if self._telemetry is not None:
                 self._telemetry.record_batch(len(members))
             for i, request in enumerate(members):
-                row = batch[i]  # strips the padding of under-filled rows
-                result = SearchResult(
-                    ids=row.ids[: request.k],
-                    scores=row.scores[: request.k],
-                    stats=row.stats,
-                )
+                result = batch[i]  # strips the padding of under-filled rows
                 result.stats.extras = {
                     **result.stats.extras,
                     "coalesced": len(members),

@@ -54,7 +54,7 @@ class TestTheorem3:
         lbs = groups.lower_bounds(query_proj)
         actual = np.linalg.norm(projected - query_proj[None, :], axis=1)
         for g in range(groups.n_groups):
-            members = groups.group(g).member_ids
+            members = groups.members(g)
             assert np.all(actual[members] >= lbs[g] - 1e-9)
 
     def test_own_group_bound_is_zero(self):
@@ -104,7 +104,7 @@ class TestGroupStructure:
         projected = gen.standard_normal((200, 5))
         groups = BinaryCodeGroups(projected, np.abs(projected).sum(axis=1))
         members = np.concatenate(
-            [groups.group(g).member_ids for g in range(groups.n_groups)]
+            [groups.members(g) for g in range(groups.n_groups)]
         )
         assert sorted(members.tolist()) == list(range(200))
 
@@ -114,8 +114,7 @@ class TestGroupStructure:
         groups = BinaryCodeGroups(projected, np.abs(projected).sum(axis=1))
         bits = sign_bits(projected)
         for g in range(groups.n_groups):
-            grp = groups.group(g)
-            assert np.all(bits[grp.member_ids] == groups.group_bits[g])
+            assert np.all(bits[groups.members(g)] == groups.group_bits[g])
 
     def test_members_sorted_by_l1(self):
         gen = np.random.default_rng(4)
@@ -123,7 +122,7 @@ class TestGroupStructure:
         l1 = np.abs(gen.standard_normal((150, 20))).sum(axis=1)
         groups = BinaryCodeGroups(projected, l1)
         for g in range(groups.n_groups):
-            member_l1 = l1[groups.group(g).member_ids]
+            member_l1 = l1[groups.members(g)]
             assert np.all(np.diff(member_l1) >= 0)
 
     def test_min_l1_representative(self):
@@ -132,9 +131,9 @@ class TestGroupStructure:
         l1 = np.abs(gen.standard_normal((80, 10))).sum(axis=1)
         groups = BinaryCodeGroups(projected, l1)
         for g in range(groups.n_groups):
-            grp = groups.group(g)
-            assert grp.min_l1_id == grp.member_ids[0]
-            assert grp.min_l1 == pytest.approx(l1[grp.member_ids].min())
+            members = groups.members(g)
+            assert groups.min_l1_ids[g] == members[0]
+            assert groups.min_l1[g] == pytest.approx(l1[members].min())
 
     def test_group_count_bounded_by_2m(self):
         gen = np.random.default_rng(6)

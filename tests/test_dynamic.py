@@ -341,8 +341,8 @@ class TestGenerationalRebuild:
             index.delete(310)  # a delta point
 
         ticket = a.begin_rebuild()
-        built = a.build_generation(ticket)
-        a.commit_rebuild(ticket, built)
+        staged = a.build_generation(ticket)
+        a.commit_rebuild(ticket, staged)
         b.compact()
 
         for q in queries:
@@ -360,12 +360,12 @@ class TestGenerationalRebuild:
         pre_insert = index.insert(data[500] * 3.0)
 
         ticket = index.begin_rebuild()
-        built = index.build_generation(ticket)
+        staged = index.build_generation(ticket)
         # Drift lands between build and commit:
         mid_insert = index.insert(data[501] * 5.0)
         index.delete(7)           # snapshotted -> replays as a tombstone
         index.delete(pre_insert)  # snapshotted delta point -> also dead
-        report = index.commit_rebuild(ticket, built)
+        report = index.commit_rebuild(ticket, staged)
 
         assert report["replayed_inserts"] == 1
         assert report["replayed_deletes"] == 2
@@ -384,12 +384,12 @@ class TestGenerationalRebuild:
         data, _ = latent_small
         index = self._twin(data)
         ticket = index.begin_rebuild()
-        built = index.build_generation(ticket)
-        assert ticket.prepared["buffer"].shape[0] < 300 + 30
+        staged = index.build_generation(ticket)
+        assert staged.buffer.shape[0] < 300 + 30
         for row in data[500:529]:
             index.insert(row)
         spike = index.insert(data[529] * 5.0)
-        report = index.commit_rebuild(ticket, built)
+        report = index.commit_rebuild(ticket, staged)
         assert report["replayed_inserts"] == 30
         assert index.n_live == 330 and index.buffer_rows == 330
         assert index.search(data[529], k=1).ids[0] == spike
@@ -398,10 +398,10 @@ class TestGenerationalRebuild:
         data, _ = latent_small
         index = self._twin(data)
         ticket = index.begin_rebuild()
-        built = index.build_generation(ticket)
+        staged = index.build_generation(ticket)
         ephemeral = index.insert(data[500])
         index.delete(ephemeral)
-        report = index.commit_rebuild(ticket, built)
+        report = index.commit_rebuild(ticket, staged)
         assert report["replayed_inserts"] == 0
         assert report["replayed_deletes"] == 0
         assert index.delta_size == 0 and index.tombstone_count == 0

@@ -74,10 +74,31 @@ class TestCoalescedCorrectness:
             large_result = large.result(timeout=10)
         assert len(small_result) == 2
         assert len(large_result) == 9
-        # Trimming from the batched k_max is exact for the exact scan.
+        # Each k is answered by its own batch, exactly as search answers it.
         direct = index.search(queries[0], k=2)
         np.testing.assert_array_equal(small_result.ids, direct.ids)
         np.testing.assert_array_equal(small_result.scores, direct.scores)
+
+    def test_mixed_k_answers_match_direct_search(self):
+        # ProMIPS' stopping conditions test the k-th best score, so its
+        # top-1 is not the head of its top-10.  A k=1 request sharing a tick
+        # with a k=10 request must still get what search(q, k=1) returns.
+        from repro.data.datasets import load_dataset
+
+        dataset = load_dataset("yahoo", n=1000, dim=32, n_queries=1, seed=3)
+        index = build_index("promips()", dataset.data, rng=1)
+        q = dataset.queries[0]
+        direct_1, direct_10 = index.search(q, k=1), index.search(q, k=10)
+        assert direct_10.ids[0] != direct_1.ids[0]  # the case under test
+        with MicroBatcher(index, max_batch=8, max_wait_ms=200.0) as batcher:
+            large = batcher.submit(q, k=10)
+            small = batcher.submit(q, k=1)
+            small_result = small.result(timeout=10)
+            large_result = large.result(timeout=10)
+        np.testing.assert_array_equal(small_result.ids, direct_1.ids)
+        np.testing.assert_array_equal(small_result.scores, direct_1.scores)
+        np.testing.assert_array_equal(large_result.ids, direct_10.ids)
+        np.testing.assert_array_equal(large_result.scores, direct_10.scores)
 
     def test_distinct_kwargs_do_not_share_a_batch(self):
         gen = np.random.default_rng(3)

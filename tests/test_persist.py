@@ -209,6 +209,35 @@ class TestUniversalRoundtrip:
             save_index(object(), tmp_path / "nope")
 
 
+class TestLegacySubpartitionMembers:
+    """Envelopes written before 1.8 also carry ``ring_sp_members``, the
+    sub-partition members concatenated in sub-partition order (a copy of
+    ``ring_layout_order``); the key is ignored on load and no longer
+    written."""
+
+    def test_state_with_sp_members_answers_identically(self, saved):
+        _, queries, original, _ = saved
+        ring = original.ring
+        state = original.state()
+        state["ring_sp_members"] = np.concatenate(
+            [ring.members(i) for i in range(ring.n_subpartitions)]
+        ).astype(np.int64)
+        restored = ProMIPS.from_state(original.spec(), state)
+        for q in queries[:6]:
+            a, b = original.search(q, k=10), restored.search(q, k=10)
+            assert np.array_equal(a.ids, b.ids)
+            assert np.array_equal(a.scores, b.scores)
+            assert a.stats.pages == b.stats.pages
+            assert a.stats.candidates == b.stats.candidates
+            assert a.stats.extras == b.stats.extras
+
+    def test_save_index_omits_sp_members(self, saved):
+        *_, path = saved
+        with np.load(path) as archive:
+            assert archive.files
+            assert not [key for key in archive.files if "sp_members" in key]
+
+
 class TestLegacyFormatV1:
     def test_v1_promips_file_still_loads(self, latent_small, tmp_path):
         from dataclasses import asdict

@@ -90,7 +90,7 @@ class TestProjectionContractsGroups:
         lbs = groups.lower_bounds(q_proj)
         dists = np.linalg.norm(projected - q_proj[None, :], axis=1)
         for g in range(groups.n_groups):
-            members = groups.group(g).member_ids
+            members = groups.members(g)
             assert np.all(dists[members] >= lbs[g] - 1e-9)
 
 

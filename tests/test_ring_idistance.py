@@ -27,21 +27,23 @@ class TestBuild:
         assert sorted(ring.layout_order.tolist()) == list(range(len(points)))
 
     def test_subpartitions_cover_all_points(self, ring, points):
-        members = np.concatenate([sp.member_ids for sp in ring.subpartitions])
+        members = np.concatenate(
+            [ring.members(i) for i in range(ring.n_subpartitions)]
+        )
         assert sorted(members.tolist()) == list(range(len(points)))
 
     def test_subpartition_radii_cover_members(self, ring, points):
-        for sp in ring.subpartitions:
-            dists = np.linalg.norm(points[sp.member_ids] - sp.pivot, axis=1)
-            assert dists.max() <= sp.radius + 1e-9
+        for i in range(ring.n_subpartitions):
+            dists = np.linalg.norm(points[ring.members(i)] - ring.sp_pivots[i], axis=1)
+            assert dists.max() <= ring.sp_radii[i] + 1e-9
 
     def test_keys_follow_formula6(self, ring, points):
         # Every member's key must equal ⌊i·C + dis(p, O_i)/ε⌋ for its
         # partition i — reconstruct from the stored geometry.
-        for sp in ring.subpartitions[:20]:
-            part = sp.key // ring.C
-            ring_idx = sp.key - part * ring.C
-            dists = np.linalg.norm(points[sp.member_ids] - ring.centers[part], axis=1)
+        for i in range(20):
+            part = ring.sp_keys[i] // ring.C
+            ring_idx = ring.sp_keys[i] - part * ring.C
+            dists = np.linalg.norm(points[ring.members(i)] - ring.centers[part], axis=1)
             assert np.all((dists / ring.epsilon).astype(int) == ring_idx)
 
     def test_epsilon_override(self, points):
@@ -108,8 +110,8 @@ class TestRangeSearch:
         §VI property that turns candidate fetches into sequential I/O."""
         slot_of = np.empty(len(points), dtype=int)
         slot_of[ring.layout_order] = np.arange(len(points))
-        for sp in ring.subpartitions[:30]:
-            slots = np.sort(slot_of[sp.member_ids])
+        for i in range(30):
+            slots = np.sort(slot_of[ring.members(i)])
             assert np.array_equal(slots, np.arange(slots[0], slots[0] + len(slots)))
 
 
@@ -118,11 +120,11 @@ class TestRunReads:
 
     def test_slot_runs_hold_member_ids(self, ring, points):
         restored = RingIDistance.from_state(points, ring.state())
+        assert ring.sp_offsets[0] == 0 and ring.sp_offsets[-1] == len(points)
         for index in (ring, restored):
-            for i, sp in enumerate(index.subpartitions):
-                start = index._sp_slot_start[i]
-                run = index.layout_order[start : start + index._sp_size[i]]
-                assert np.array_equal(run, sp.member_ids)
+            for i in range(ring.n_subpartitions):
+                run = ring.layout_order[ring.sp_offsets[i] : ring.sp_offsets[i + 1]]
+                assert np.array_equal(index.members(i), run)
 
     @pytest.mark.parametrize("layout", ["ring", "identity", "shuffled"])
     @pytest.mark.parametrize("page_size", [4096, 256, 64])
@@ -140,7 +142,7 @@ class TestRunReads:
             runs, by_ids = store.reader(), store.reader()
             ring.range_search(query, radius, reader=runs)
             chosen = ring._candidate_subpartitions(query, radius, None)
-            member_ids = [ring.subpartitions[i].member_ids for i in chosen]
+            member_ids = [ring.members(i) for i in chosen]
             by_ids.get_many(np.concatenate(member_ids) if member_ids else np.array([], int))
             assert np.array_equal(runs._touched, by_ids._touched)
 
@@ -148,7 +150,7 @@ class TestRunReads:
 def _reference_range_search(ring, points, query, radius, min_radius):
     """Member-by-member candidate read + distance test + stable sort."""
     chosen = ring._candidate_subpartitions(query, radius, None)
-    ids = np.concatenate([ring.subpartitions[i].member_ids for i in chosen])
+    ids = np.concatenate([ring.members(i) for i in chosen])
     dists = np.linalg.norm(points[ids] - query[None, :], axis=1)
     mask = (dists <= radius) & (dists > min_radius)
     order = np.argsort(dists[mask], kind="stable")
