@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.api import validate_k
 from repro.core.rng import resolve_rng
+from repro.index.bptree import level_sizes
 from repro.stats.special import std_normal_cdf
 from repro.storage.pagefile import DEFAULT_PAGE_SIZE, VectorReader
 
@@ -154,17 +155,11 @@ class QALSH:
             self._sorted_proj[i] = projections[order, i]
             self._sorted_ids[i] = order
 
-        leaf_pages = -(-self.n // self.entries_per_page)
-        # Height of a B+-tree whose leaves hold the entries; fanout matches
+        # Shape of a B+-tree whose leaves hold the entries; fanout matches
         # one page of (separator, child) pairs.
-        fanout = max(2, self.entries_per_page)
-        height = 1
-        level = leaf_pages
-        while level > 1:
-            level = -(-level // fanout)
-            height += 1
-        self.tree_height = height
-        self.leaf_pages_per_table = leaf_pages
+        levels = level_sizes(self.n, self.entries_per_page, max(2, self.entries_per_page))
+        self.tree_height = len(levels)
+        self.leaf_pages_per_table = levels[0]
 
     @property
     def projection_vectors(self) -> np.ndarray:

@@ -1,270 +1,96 @@
-"""B+-tree built from scratch, with per-operation page accounting.
+"""Static B+-tree over sorted key arrays, with per-search page accounting.
 
 iDistance (§II-C / §VI of the paper) organises one-dimensional keys in a
 single B+-tree — the "lightweight index" that replaces the hundreds of hash
-tables LSH methods need.  This implementation supports:
+tables LSH methods need.  Every tree here is bulk-loaded and never mutated,
+so it is fully described by its sorted keys, their values and its ``order``
+(max entries per node): leaf ``j`` holds entries ``[j·order, (j+1)·order)``
+and each internal level packs ``order`` children per node.  A range search
+is two ``searchsorted`` calls, and the pages it reads are counted in closed
+form against an :class:`repro.storage.AccessCounter`: the internal nodes of
+one root-to-leaf descent plus every leaf the forward leaf walk crosses.
 
-* bulk loading from key-sorted items (how every index here is constructed);
-* point lookup of a key;
-* inclusive range scans over ``[lo, hi]``;
-* bidirectional leaf cursors (needed by incremental iDistance kNN search);
-* page accounting — every node visited counts as one page read against an
-  :class:`repro.storage.AccessCounter`.
-
-Keys may be ints or floats; duplicate keys are allowed and kept in insertion
-order within the key.
+Keys may be ints or floats; duplicate keys are allowed and keep their
+insertion order.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+import numpy as np
 
 from repro.storage.pagefile import AccessCounter
 
-__all__ = ["BPlusTree", "LeafCursor"]
+__all__ = ["BPlusTree", "level_sizes"]
 
 DEFAULT_ORDER = 64
 
 
-class _Leaf:
-    __slots__ = ("keys", "values", "next", "prev")
+def level_sizes(n_entries: int, leaf_capacity: int, fanout: int) -> list[int]:
+    """Node counts per level, leaves first, of a bulk-loaded B+-tree.
 
-    def __init__(self, keys: list, values: list) -> None:
-        self.keys = keys
-        self.values = values
-        self.next: _Leaf | None = None
-        self.prev: _Leaf | None = None
-
-
-class _Internal:
-    __slots__ = ("keys", "children")
-
-    def __init__(self, keys: list, children: list) -> None:
-        # keys[i] is the smallest key reachable under children[i+1].
-        self.keys = keys
-        self.children = children
-
-
-def _bisect_left(keys: list, key) -> int:
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keys[mid] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _bisect_right(keys: list, key) -> int:
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if key < keys[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-class LeafCursor:
-    """Bidirectional cursor over the leaf chain of a :class:`BPlusTree`.
-
-    Crossing into a leaf charges one page to the counter; stepping within a
-    leaf is free.  ``key``/``value`` return the current entry; ``valid`` is
-    False once the cursor walks off either end.
+    An empty tree still has one (empty) leaf; the list's length is the
+    tree's height and its last entry is the root's 1.
     """
-
-    def __init__(self, leaf: _Leaf | None, index: int, counter: AccessCounter | None) -> None:
-        self._leaf = leaf
-        self._index = index
-        self._counter = counter
-        if leaf is not None and counter is not None:
-            counter.add()
-
-    @property
-    def valid(self) -> bool:
-        return self._leaf is not None and 0 <= self._index < len(self._leaf.keys)
-
-    @property
-    def key(self):
-        if not self.valid:
-            raise IndexError("cursor is exhausted")
-        return self._leaf.keys[self._index]
-
-    @property
-    def value(self):
-        if not self.valid:
-            raise IndexError("cursor is exhausted")
-        return self._leaf.values[self._index]
-
-    def advance(self) -> bool:
-        """Move one entry forward; returns the new validity."""
-        if self._leaf is None:
-            return False
-        self._index += 1
-        if self._index >= len(self._leaf.keys):
-            self._leaf = self._leaf.next
-            self._index = 0
-            if self._leaf is not None and self._counter is not None:
-                self._counter.add()
-        return self.valid
-
-    def retreat(self) -> bool:
-        """Move one entry backward; returns the new validity."""
-        if self._leaf is None:
-            return False
-        self._index -= 1
-        if self._index < 0:
-            self._leaf = self._leaf.prev
-            if self._leaf is not None:
-                self._index = len(self._leaf.keys) - 1
-                if self._counter is not None:
-                    self._counter.add()
-        return self.valid
+    sizes = [max(1, -(-n_entries // leaf_capacity))]
+    while sizes[-1] > 1:
+        sizes.append(-(-sizes[-1] // fanout))
+    return sizes
 
 
 class BPlusTree:
-    """Bulk-loaded B+-tree with duplicate-key support and page accounting."""
+    """Immutable bulk-loaded B+-tree held as its sorted key and value arrays.
 
-    def __init__(self, root, height: int, n_entries: int, n_nodes: int, order: int,
-                 first_leaf: _Leaf | None) -> None:
-        self._root = root
-        self.height = height
-        self.n_entries = n_entries
-        self.n_nodes = n_nodes
-        self.order = order
-        self._first_leaf = first_leaf
+    Args:
+        keys: 1-D keys, sorted ascending; duplicates allowed.
+        values: one value per key, in the same order.
+        order: max entries per node (= page fanout).
+    """
 
-    @classmethod
-    def bulk_load(cls, items: Iterable[tuple[Any, Any]], order: int = DEFAULT_ORDER) -> "BPlusTree":
-        """Build a tree from ``(key, value)`` pairs sorted ascending by key.
-
-        Args:
-            items: key-sorted pairs; duplicates allowed.
-            order: max entries per node (= page fanout).
-        """
+    def __init__(self, keys, values, order: int = DEFAULT_ORDER) -> None:
         if order < 2:
             raise ValueError(f"order must be >= 2, got {order}")
-        pairs = list(items)
-        for i in range(1, len(pairs)):
-            if pairs[i][0] < pairs[i - 1][0]:
-                raise ValueError("bulk_load requires items sorted by key")
-
-        if not pairs:
-            empty = _Leaf([], [])
-            return cls(empty, height=1, n_entries=0, n_nodes=1, order=order, first_leaf=empty)
-
-        # Build the leaf level.
-        leaves: list[_Leaf] = []
-        for start in range(0, len(pairs), order):
-            chunk = pairs[start : start + order]
-            leaves.append(_Leaf([k for k, _ in chunk], [v for _, v in chunk]))
-        for left, right in zip(leaves, leaves[1:]):
-            left.next = right
-            right.prev = left
-
-        # Build internal levels bottom-up.
-        n_nodes = len(leaves)
-        level: list = leaves
-        level_min_keys = [leaf.keys[0] for leaf in leaves]
-        height = 1
-        while len(level) > 1:
-            parents: list[_Internal] = []
-            parent_min_keys: list = []
-            for start in range(0, len(level), order):
-                children = level[start : start + order]
-                child_mins = level_min_keys[start : start + order]
-                parents.append(_Internal(child_mins[1:], children))
-                parent_min_keys.append(child_mins[0])
-            n_nodes += len(parents)
-            level = parents
-            level_min_keys = parent_min_keys
-            height += 1
-
-        return cls(level[0], height=height, n_entries=len(pairs), n_nodes=n_nodes,
-                   order=order, first_leaf=leaves[0])
-
-    # ------------------------------------------------------------------ I/O
+        keys, values = np.asarray(keys), np.asarray(values)
+        if keys.ndim != 1 or values.shape != keys.shape:
+            raise ValueError("keys and values must be 1-D arrays of one length")
+        if (keys[1:] < keys[:-1]).any():
+            raise ValueError("keys must be sorted ascending")
+        self.keys, self.values, self.order = keys, values, order
+        sizes = level_sizes(keys.size, order, order)
+        self.height, self.n_nodes, self._n_leaves = len(sizes), sum(sizes), sizes[0]
+        self._leaf_mins = keys[::order]
 
     def size_bytes(self, page_size: int) -> int:
         """Index size if each node occupies one page."""
         return self.n_nodes * page_size
 
-    # -------------------------------------------------------------- descent
+    def range(self, lo, hi, counter: AccessCounter | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Entry runs ``[starts[i], stops[i])`` with ``lo[i] <= key <= hi[i]``.
 
-    def _descend(self, key, counter: AccessCounter | None) -> _Leaf:
-        """Walk to the leaf holding the *first* entry with ``entry.key >= key``.
-
-        Uses left-biased descent so that runs of duplicate keys spanning
-        several leaves are approached from their first occurrence; the
-        forward leaf walk of ``range``/``cursor_at`` absorbs the (at most
-        one-leaf) undershoot.
+        ``lo`` and ``hi`` are equal-length arrays of inclusive bounds; the
+        matches of range ``i`` are ``values[starts[i]:stops[i]]``, in key
+        order, and an inverted range is empty.  Each range with
+        ``lo <= hi`` charges ``counter`` one page per internal node of its
+        descent plus one per leaf walked.  The descent is left-biased: it
+        lands on the last leaf whose first key is ``< lo`` (or leaf 0), so a
+        run of duplicates spanning several leaves is reached from its first
+        occurrence.  The walk then reads forward up to the leaf holding the
+        first key ``> hi``, or up to the last leaf.
         """
-        node = self._root
-        while isinstance(node, _Internal):
-            if counter is not None:
-                counter.add()
-            node = node.children[_bisect_left(node.keys, key)]
-        return node
-
-    # -------------------------------------------------------------- queries
-
-    def search(self, key, counter: AccessCounter | None = None) -> list:
-        """All values stored under ``key`` (may span leaves)."""
-        results: list = []
-        for k, v in self.range(key, key, counter=counter):
-            results.append(v)
-        return results
-
-    def range(self, lo, hi, counter: AccessCounter | None = None) -> Iterator[tuple[Any, Any]]:
-        """Yield ``(key, value)`` pairs with ``lo <= key <= hi`` in key order."""
-        if hi < lo:
-            return
-        leaf = self._descend(lo, counter)
+        lo, hi = np.asarray(lo), np.asarray(hi)
+        starts = np.searchsorted(self.keys, lo, "left")
+        stops = np.maximum(np.searchsorted(self.keys, hi, "right"), starts)
         if counter is not None:
-            counter.add()  # the first leaf
-        index = _bisect_left(leaf.keys, lo)
-        while True:
-            if index >= len(leaf.keys):
-                leaf = leaf.next
-                if leaf is None:
-                    return
-                if counter is not None:
-                    counter.add()
-                index = 0
-                continue
-            key = leaf.keys[index]
-            if key > hi:
-                return
-            yield key, leaf.values[index]
-            index += 1
-
-    def cursor_at(self, key, counter: AccessCounter | None = None) -> LeafCursor:
-        """Cursor positioned at the first entry with ``entry.key >= key``.
-
-        If every key is smaller, the cursor lands one past the last entry of
-        the final leaf (``valid`` is False but ``retreat`` recovers it).
-        """
-        leaf = self._descend(key, counter)
-        index = _bisect_left(leaf.keys, key)
-        if index >= len(leaf.keys) and leaf.next is not None:
-            leaf = leaf.next
-            index = 0
-        return LeafCursor(leaf, index, counter)
-
-    def items(self) -> Iterator[tuple[Any, Any]]:
-        """All entries in key order (no page accounting; used by tests)."""
-        leaf = self._first_leaf
-        while leaf is not None:
-            yield from zip(leaf.keys, leaf.values)
-            leaf = leaf.next
+            first = np.maximum(np.searchsorted(self._leaf_mins, lo, "left") - 1, 0)
+            last = np.minimum(stops // self.order, self._n_leaves - 1)
+            pages = np.where(lo <= hi, self.height + last - first, 0)
+            counter.add(int(pages.sum()))
+        return starts, stops
 
     def __len__(self) -> int:
-        return self.n_entries
+        return self.keys.size
 
     def __repr__(self) -> str:
         return (
-            f"BPlusTree(entries={self.n_entries}, nodes={self.n_nodes}, "
+            f"BPlusTree(entries={len(self)}, nodes={self.n_nodes}, "
             f"height={self.height}, order={self.order})"
         )

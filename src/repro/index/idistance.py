@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.cluster.kmeans import kmeans
 from repro.index.bptree import BPlusTree
-from repro.storage.pagefile import AccessCounter, VectorReader
+from repro.storage.pagefile import AccessCounter, VectorReader, expand_runs
 
 __all__ = ["IDistanceIndex"]
 
@@ -62,15 +62,7 @@ class IDistanceIndex:
 
         sort_idx = np.argsort(keys, kind="stable")
         self.layout_order = sort_idx.astype(np.int64)
-        self._tree = BPlusTree.bulk_load(
-            [(float(keys[i]), int(i)) for i in sort_idx], order=order
-        )
-        self._labels = clustering.labels
-        self._dist_to_center = dist_to_center
-
-    @property
-    def tree(self) -> BPlusTree:
-        return self._tree
+        self._tree = BPlusTree(keys[sort_idx], self.layout_order, order)
 
     def index_size_bytes(self, page_size: int) -> int:
         """B+-tree footprint plus the partition metadata."""
@@ -91,30 +83,24 @@ class IDistanceIndex:
         the "large unnecessary searching area" §VI criticises.
         """
         query = np.asarray(query, dtype=np.float64)
-        if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
-        found_ids: list[int] = []
-        found_dists: list[float] = []
+        if not 0 <= radius < np.inf:
+            raise ValueError(f"radius must be finite and non-negative, got {radius}")
         center_dists = np.linalg.norm(self.centers - query[None, :], axis=1)
-        for i in range(self.kp):
-            if center_dists[i] - radius > self.radii[i]:
-                continue  # sphere does not reach this partition
-            # The ±ulp widening keeps boundary keys (computed in a different
-            # expression order at build time) inside the scan; every fetched
-            # point is distance-verified anyway.
-            slack = 1e-9 * (1.0 + self.C * i)
-            lo = self.C * i + max(0.0, center_dists[i] - radius) - slack
-            hi = self.C * i + min(self.radii[i], center_dists[i] + radius) + slack
-            for _, pid in self._tree.range(lo, hi, counter=tree_counter):
-                vec = reader.get(pid) if reader is not None else self._points[pid]
-                dist = float(np.linalg.norm(vec - query))
-                if dist <= radius:
-                    found_ids.append(pid)
-                    found_dists.append(dist)
-        return (
-            np.asarray(found_ids, dtype=np.int64),
-            np.asarray(found_dists, dtype=np.float64),
-        )
+        # Partitions the sphere reaches, each scanned over the key interval
+        # it can reach.  The ±ulp widening keeps boundary keys (computed in
+        # a different expression order at build time) inside the scan;
+        # every fetched point is distance-verified anyway.
+        reached = np.flatnonzero(center_dists - radius <= self.radii)
+        base = self.C * reached
+        slack = 1e-9 * (1.0 + base)
+        lo = base + np.maximum(0.0, center_dists[reached] - radius) - slack
+        hi = base + np.minimum(self.radii[reached], center_dists[reached] + radius) + slack
+        starts, stops = self._tree.range(lo, hi, counter=tree_counter)
+        ids = self._tree.values[expand_runs(starts, stops)]
+        vecs = reader.get_many(ids) if reader is not None else self._points[ids]
+        dists = np.linalg.norm(vecs - query[None, :], axis=1)
+        keep = dists <= radius
+        return ids[keep], dists[keep]
 
     def knn(
         self,

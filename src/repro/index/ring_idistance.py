@@ -123,7 +123,7 @@ class RingIDistance:
         self, points: np.ndarray, state: dict[str, np.ndarray], order: int
     ) -> None:
         """Set the geometry arrays from :meth:`state`-shaped input and
-        bulk-load the B+-tree over the sub-partition keys."""
+        build the B+-tree over the sub-partition keys."""
         self._points = points
         self.n, self.dim = points.shape
         self.centers = np.asarray(state["centers"], dtype=np.float64)
@@ -139,9 +139,7 @@ class RingIDistance:
         self.sp_offsets = np.asarray(state["sp_offsets"], dtype=np.int64)
         self.layout_order = np.asarray(state["layout_order"], dtype=np.int64)
         by_key = np.argsort(self.sp_keys, kind="stable")
-        self._tree = BPlusTree.bulk_load(
-            zip(self.sp_keys[by_key].tolist(), by_key.tolist()), order=order
-        )
+        self._tree = BPlusTree(self.sp_keys[by_key], by_key, order)
 
     # -------------------------------------------------------- persistence
 
@@ -179,10 +177,6 @@ class RingIDistance:
         return self
 
     @property
-    def tree(self) -> BPlusTree:
-        return self._tree
-
-    @property
     def n_subpartitions(self) -> int:
         return self.sp_keys.size
 
@@ -211,25 +205,24 @@ class RingIDistance:
         """Indices of the sub-partitions whose bounding sphere intersects the
         query sphere, in B+-tree traversal order."""
         center_dists = np.linalg.norm(self.centers - query[None, :], axis=1)
-        touched: list[int] = []
-        for i in range(self.kp):
-            if self.max_ring[i] < 0:
-                continue
-            lo_ring = max(0, int((center_dists[i] - radius) / self.epsilon))
-            # +1 guards the floor against a one-ulp undershoot of the ring
-            # boundary; sub-partition sphere tests discard any excess.
-            hi_ring = int((center_dists[i] + radius) / self.epsilon) + 1
-            if lo_ring > self.max_ring[i]:
-                continue
-            hi_ring = min(hi_ring, int(self.max_ring[i]))
-            lo_key = i * self.C + lo_ring
-            hi_key = i * self.C + hi_ring
-            touched.extend(
-                sp_idx for _, sp_idx in self._tree.range(lo_key, hi_key, counter=tree_counter)
-            )
+        # Ring bounds are clamped in float before the cast, so a huge radius
+        # (or a tiny epsilon) cannot wrap the int64 keys; on the clamped,
+        # non-negative values the cast is Formula 6's floor.  The +1 guards
+        # the floor against a one-ulp undershoot of the ring boundary, and
+        # sub-partition sphere tests discard any excess.
+        lo_ring = np.minimum(
+            np.maximum((center_dists - radius) / self.epsilon, 0.0), self.max_ring + 1.0
+        ).astype(np.int64)
+        hi_ring = np.minimum((center_dists + radius) / self.epsilon, self.max_ring)
+        hi_ring = np.minimum(hi_ring.astype(np.int64) + 1, self.max_ring)
+        reached = np.flatnonzero((self.max_ring >= 0) & (lo_ring <= self.max_ring))
+        base = reached * self.C
+        starts, stops = self._tree.range(
+            base + lo_ring[reached], base + hi_ring[reached], counter=tree_counter
+        )
+        sel = self._tree.values[expand_runs(starts, stops)]
         # One vectorized sphere-intersection test over all touched
         # descriptors replaces per-descriptor norm computations.
-        sel = np.asarray(touched, dtype=np.int64)
         pivot_dists = np.linalg.norm(self.sp_pivots[sel] - query[None, :], axis=1)
         return sel[pivot_dists <= radius + self.sp_radii[sel]]
 
@@ -256,8 +249,8 @@ class RingIDistance:
         contiguous page range.
         """
         query = np.asarray(query, dtype=np.float64)
-        if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
+        if not 0 <= radius < np.inf:
+            raise ValueError(f"radius must be finite and non-negative, got {radius}")
         chosen = self._candidate_subpartitions(query, radius, tree_counter)
         ids = self.layout_order[
             expand_runs(self.sp_offsets[chosen], self.sp_offsets[chosen + 1])

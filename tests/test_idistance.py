@@ -46,8 +46,9 @@ class TestRangeSearch:
         assert 10 in ids.tolist()
 
     def test_rejects_negative_radius(self, index):
-        with pytest.raises(ValueError):
-            index.range_search(np.zeros(6), -1.0)
+        for radius in (-1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                index.range_search(np.zeros(6), radius)
 
     def test_counts_pages(self, index, points):
         counter = AccessCounter()

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.promips import ProMIPS, ProMIPSParams
+from repro.data.datasets import load_dataset
 from repro.eval.metrics import guarantee_success
+from repro.spec import build_index
 
 from conftest import exact_topk_reference
 
@@ -168,6 +170,19 @@ class TestDeterminism:
         rb = b.search(queries[0], k=5)
         assert np.array_equal(ra.ids, rb.ids)
         assert ra.stats.pages == rb.stats.pages
+
+    def test_golden_page_counts(self):
+        """Query stats pinned across versions (recorded with the 1.8 object
+        B+-tree): a change to the tree, the range search or the page
+        accounting must not move them."""
+        data = load_dataset("yahoo", n=3000, dim=32, n_queries=1, seed=0).data
+        index = build_index("promips()", data, rng=1)
+        queries = data[np.random.default_rng(2).choice(3000, 32, replace=False)]
+        results = [index.search(q, k=10) for q in queries]
+        pages = [r.stats.pages for r in results]
+        assert sum(pages) == 2274
+        assert sum(r.stats.candidates for r in results) == 9569
+        assert pages[:5] == [83, 64, 64, 64, 68]
 
 
 class TestConditionAPath:

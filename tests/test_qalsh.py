@@ -120,3 +120,23 @@ class TestQALSHSearch:
         index = QALSH(points, gen)
         ids, _, _ = index.search(points[0], k=100)
         assert len(ids) <= 30
+
+
+class TestTreeShape:
+    @pytest.mark.parametrize(
+        "page_size, height, leaf_pages",
+        [
+            (8, 10, 500),  # one entry per leaf, binary internal levels
+            (15, 10, 500),
+            (16, 9, 250),
+            (64, 3, 63),
+            (512, 2, 8),
+            (4096, 1, 1),
+        ],
+    )
+    def test_height_pinned(self, page_size, height, leaf_pages):
+        # Values recorded with the 1.8 inline level arithmetic.
+        points = np.random.default_rng(0).standard_normal((500, 8))
+        index = QALSH(points, rng=0, page_size=page_size)
+        assert index.tree_height == height
+        assert index.leaf_pages_per_table == leaf_pages

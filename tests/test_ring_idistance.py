@@ -72,7 +72,9 @@ class TestBuild:
 
 
 class TestRangeSearch:
-    @pytest.mark.parametrize("radius", [0.4, 1.0, 2.5, 5.0])
+    # 1e19 and 1e300 put the ring bounds past the int64 key range: they
+    # must clamp, not wrap, and return every point.
+    @pytest.mark.parametrize("radius", [0.4, 1.0, 2.5, 5.0, 1e19, 1e300])
     def test_matches_brute_force(self, ring, points, radius):
         query = np.random.default_rng(int(radius * 7)).standard_normal(5)
         ids, dists = ring.range_search(query, radius)
@@ -94,8 +96,9 @@ class TestRangeSearch:
         assert np.all(dists > 1.5)
 
     def test_rejects_negative_radius(self, ring):
-        with pytest.raises(ValueError):
-            ring.range_search(np.zeros(5), -0.1)
+        for radius in (-0.1, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                ring.range_search(np.zeros(5), radius)
 
     def test_counts_tree_and_data_pages(self, ring, points):
         counter = AccessCounter()
