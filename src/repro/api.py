@@ -44,6 +44,7 @@ __all__ = [
     "MIPSIndex",
     "BatchSearchMixin",
     "validate_k",
+    "validate_id",
     "validate_query",
     "validate_queries",
 ]
@@ -223,6 +224,21 @@ def validate_k(k) -> int:
     if k <= 0:
         raise ValueError(f"k must be a positive integer, got {k}")
     return k
+
+
+def validate_id(point_id) -> int:
+    """Normalise a point id to a Python int — or raise ``ValueError``.
+
+    Every mutable index's ``delete`` and the serving runtime funnel ids
+    through this one check.  Accepted: Python and numpy integers.  Rejected:
+    bools (``True`` would otherwise name point 1), floats — even integral
+    ones, since an id is a name, not a quantity — and non-numbers.  Range
+    is the caller's business: an integer naming no point is a ``KeyError``
+    there.
+    """
+    if isinstance(point_id, bool) or not isinstance(point_id, (int, np.integer)):
+        raise ValueError(f"id must be an integer, got {point_id!r}")
+    return int(point_id)
 
 
 def validate_query(query: np.ndarray, dim: int) -> np.ndarray:

@@ -11,8 +11,6 @@ Exact, PQ and SimHash implement natively vectorized ``search_many`` batch
 paths; the rest inherit the generic fallback from the API layer.
 """
 
-from repro.baselines.alsh import L2ALSH, SignALSH, simple_lsh
-from repro.baselines.e2lsh import E2LSH
 from repro.baselines.exact import ExactMIPS, exact_topk
 from repro.baselines.h2alsh import H2ALSH
 from repro.baselines.pq import PQBasedMIPS, ProductQuantizer, train_opq_rotation
@@ -38,10 +36,6 @@ from repro.baselines.transforms import (
 )
 
 __all__ = [
-    "L2ALSH",
-    "SignALSH",
-    "simple_lsh",
-    "E2LSH",
     "ExactMIPS",
     "exact_topk",
     "H2ALSH",

@@ -18,9 +18,24 @@ supplies the standard engineering answer for a bulk-loaded structure:
   (``compact_threshold``, checked on delete) — a delete-only workload
   compacts just like an insert-only one.
 
-All vectors (indexed, delta, and not-yet-compacted dead rows) live in one
-growable 2-D buffer with amortised-O(1) appends; external ids are stable
-across compactions and map to buffer rows through ``_row_of_external``.
+**Row layout.**  All vectors live in one growable 2-D buffer with
+amortised-O(1) appends, and every id table is a flat ``int64`` array:
+
+* buffer rows ``[0, n_indexed)`` hold the current generation in
+  inner-index order, so a row number *is* the inner index's point id;
+* rows ``[n_indexed, n_rows)`` hold the inserts since that generation, in
+  id order (deleted ones stay as dead rows until the next compaction);
+* ``_external_of[row]`` is the external id stored in a row and
+  ``_row_of[id]`` the row holding an id, ``-1`` meaning gone;
+* ``_tombstone_mask[row]`` marks deleted rows of the current generation.
+
+The invariant that makes this work: **external ids ascend with rows.**
+A generation is bulk-loaded from a snapshot taken in ascending-id order,
+and every later insert takes a fresh, larger id, so every indexed id is
+smaller than every insert id.  Id-ordered views (the delta set, the
+rebuild snapshot, ``state()``) are therefore row-ordered masks of
+``_external_of`` — no sort, no per-id Python work.  External ids are
+stable across compactions; only their rows move.
 
 For *serving*, the synchronous compaction above is the wrong shape: it runs
 inside ``insert``/``delete`` and, behind a request lock, stalls every
@@ -57,6 +72,7 @@ from repro.api import (
     BatchResult,
     SearchResult,
     SearchStats,
+    validate_id,
     validate_k,
     validate_queries,
     validate_query,
@@ -82,14 +98,20 @@ class StagedGeneration:
 
     Attributes:
         index: the inner :class:`ProMIPS` bulk-loaded over the snapshot.
-        buffer: the new vector buffer — snapshot rows already in place,
-            spare rows for the inserts that land during the build.
-        snapshot_map: external id → buffer row for the snapshot.
+        buffer: the new vector buffer — snapshot rows already in place (row
+            ``i`` holds the snapshot's ``i``-th id, which is also its inner
+            id), spare rows for the inserts that land during the build.
     """
 
     index: ProMIPS
     buffer: np.ndarray
-    snapshot_map: dict[int, int]
+
+
+def _grown(array: np.ndarray, used: int) -> np.ndarray:
+    """A doubled copy of ``array`` keeping its first ``used`` entries."""
+    grown = np.empty((max(8, 2 * array.shape[0]),) + array.shape[1:], array.dtype)
+    grown[:used] = array[:used]
+    return grown
 
 
 @register_method("dynamic", aliases=("Dynamic", "DynamicProMIPS"))
@@ -128,18 +150,15 @@ class DynamicProMIPS:
         self.compact_threshold = float(compact_threshold)
 
         data = np.asarray(data, dtype=np.float64)
-        self._index = ProMIPS.build(data, self.params, rng=self._rng)
-        self.dim = self._index.dim
-        n = self._index.n
-        # One growable 2-D buffer holds every stored vector; appends are
-        # amortised O(1) (the initial array is full, so the first insert
-        # copies into grown private storage and never mutates `data`).
-        self._vec_buf = data
-        self._n_rows = n
+        index = ProMIPS.build(data, self.params, rng=self._rng)
+        self.dim = index.dim
+        n = index.n
         # Stable external ids: indexed points get 0..n-1; inserts continue.
-        self._row_of_external: dict[int, int] = {i: i for i in range(n)}
+        # The initial buffer is `data` itself and full, so the first insert
+        # copies into grown private storage and never mutates `data`.
+        ids = np.arange(n, dtype=np.int64)
         self._install_generation(
-            self._index, np.arange(n, dtype=np.int64), {}, set()
+            index, data, n, ids, ids.copy(), np.zeros(n, dtype=bool)
         )
         self._next_id = n
         self.rebuilds = 0
@@ -152,29 +171,28 @@ class DynamicProMIPS:
     def _install_generation(
         self,
         index: ProMIPS,
-        indexed_external: np.ndarray,
-        delta: dict[int, int],
-        tombstones: set[int],
-        indexed_of_external: dict[int, int] | None = None,
+        buffer: np.ndarray,
+        n_rows: int,
+        external_of: np.ndarray,
+        row_of: np.ndarray,
+        tombstone_mask: np.ndarray,
     ) -> None:
-        """Point the search path at a (new) generation's structures.
+        """Point the search path at a (new) generation laid out as the
+        module docstring describes: ``buffer[:index.n]`` is the generation
+        in inner-index order, ``external_of`` has at least ``n_rows``
+        entries, and ``tombstone_mask`` has one per indexed row.
 
-        ``indexed_of_external`` may be passed pre-computed (the generational
-        path builds it off the serving lock) to keep this swap cheap.
-        """
+        The two counters keep ``insert``/``delete`` free of whole-array
+        passes: under serving, every numpy call that releases the GIL can
+        park a mutation behind a concurrent search."""
         self._index = index
-        self._indexed_external = indexed_external
-        self._indexed_of_external = (
-            indexed_of_external
-            if indexed_of_external is not None
-            else {int(ext): idx for idx, ext in enumerate(indexed_external.tolist())}
-        )
-        self._delta = delta
-        self._tombstones = tombstones
-        mask = np.zeros(index.n, dtype=bool)
-        for ext in tombstones:
-            mask[self._indexed_of_external[ext]] = True
-        self._tombstone_mask = mask
+        self._vec_buf = buffer
+        self._n_rows = n_rows
+        self._external_of = external_of
+        self._row_of = row_of
+        self._tombstone_mask = tombstone_mask
+        self._n_delta = n_rows - index.n  # a new generation's delta is all live
+        self._n_tombstones = int(np.count_nonzero(tombstone_mask))
 
     # ------------------------------------------------------- registry contract
 
@@ -211,11 +229,12 @@ class DynamicProMIPS:
 
     def state(self) -> dict[str, np.ndarray]:
         """The wrapped index's state plus the mutable bookkeeping: every
-        *reachable* stored vector (live, delta, and tombstoned — orphaned
+        *reachable* stored vector (live, delta, and tombstoned — dead delta
         rows awaiting compaction are dropped, a logical compaction for
         free), the ids those rows belong to, the tombstone set, the delta
         ids, the indexed→external id map, and the exact position of the
-        rebuild generator.
+        rebuild generator.  Every id array is ascending (the row layout's
+        invariant), so each is one mask of ``_external_of``.
 
         The inner index's data array is NOT stored — its rows are exactly
         the buffer rows of ``indexed_external``, so :meth:`from_state`
@@ -225,10 +244,10 @@ class DynamicProMIPS:
             for k, v in self._index.state().items()
             if k != "data"
         }
-        ids, rows = self._sorted_id_rows()
-        if rows.size == self._n_rows and np.array_equal(
-            rows, np.arange(self._n_rows)
-        ):
+        n_indexed = self._index.n
+        external = self._external_of[: self._n_rows]
+        rows = np.flatnonzero(external >= 0)
+        if rows.size == self._n_rows:
             vectors = self._vec_buf[: self._n_rows]  # view; savez copies
         else:
             vectors = self._vec_buf[rows]
@@ -236,10 +255,10 @@ class DynamicProMIPS:
             **inner,
             "inner_m": np.array([self._index.params.m], dtype=np.int64),
             "vectors": vectors,
-            "row_external": ids,
-            "tombstones": np.array(sorted(self._tombstones), dtype=np.int64),
-            "delta_ids": np.array(sorted(self._delta), dtype=np.int64),
-            "indexed_external": self._indexed_external.copy(),
+            "row_external": external[rows],
+            "tombstones": external[:n_indexed][self._tombstone_mask],
+            "delta_ids": self._external_of[self._delta_rows()],
+            "indexed_external": external[:n_indexed].copy(),
             "next_id": np.array([self._next_id], dtype=np.int64),
             "rebuilds": np.array([self.rebuilds], dtype=np.int64),
             "reclaimed_bytes": np.array([self.reclaimed_bytes], dtype=np.int64),
@@ -276,17 +295,36 @@ class DynamicProMIPS:
             else vectors.shape[0]
         )
         indexed_external = np.asarray(state["indexed_external"], dtype=np.int64)
-        row_of_external = {
-            int(ext): row for row, ext in enumerate(row_external.tolist())
-        }
+        n_indexed = indexed_external.size
+        # The row layout: the generation in inner-index order, then the
+        # delta in id order.  `vectors` is ascending by id, which for every
+        # current envelope is already exactly this layout (no copy); pre-1.5
+        # files also stored deleted delta points, which the gather drops.
+        external_of = np.concatenate(
+            [indexed_external, np.asarray(state["delta_ids"], dtype=np.int64)]
+        )
+        positions = np.searchsorted(row_external, external_of)
+        if positions.size == vectors.shape[0] and np.array_equal(
+            positions, np.arange(positions.size)
+        ):
+            buffer = vectors
+        else:
+            buffer = vectors[positions]
+        n_rows = external_of.size
+        row_of = np.full(next_id, -1, dtype=np.int64)
+        row_of[external_of] = np.arange(n_rows)
+        # Pre-1.5 files also tombstoned deleted *delta* points; those ids
+        # are in no row now, so only tombstones of indexed rows are kept.
+        tombstone_rows = row_of[np.asarray(state["tombstones"], dtype=np.int64)]
+        tombstone_mask = np.zeros(n_indexed, dtype=bool)
+        tombstone_mask[tombstone_rows[tombstone_rows >= 0]] = True
+
         inner_state = {
             k[len("promips_"):]: v
             for k, v in state.items()
             if k.startswith("promips_")
         }
-        inner_state["data"] = np.ascontiguousarray(
-            vectors[[row_of_external[int(e)] for e in indexed_external.tolist()]]
-        )
+        inner_state["data"] = buffer[:n_indexed].copy()
         inner = ProMIPS.from_state(inner_spec, inner_state)
 
         self = cls.__new__(cls)
@@ -299,22 +337,9 @@ class DynamicProMIPS:
         self.rebuild_threshold = float(spec.params.get("rebuild_threshold", 0.2))
         self.compact_threshold = float(spec.params.get("compact_threshold", 0.25))
         self.dim = inner.dim
-        self._vec_buf = vectors
-        self._n_rows = vectors.shape[0]
-        self._row_of_external = row_of_external
-        delta = {
-            int(e): row_of_external[int(e)]
-            for e in np.asarray(state["delta_ids"]).tolist()
-        }
-        tombstones = {int(e) for e in np.asarray(state["tombstones"]).tolist()}
-        # Pre-1.5 files tombstoned deleted *delta* points too; today those
-        # ids leave the row map entirely instead, so migrate them out of the
-        # tombstone set (a tombstone now always names an indexed point).
-        indexed_set = set(indexed_external.tolist())
-        for ext in [e for e in tombstones if e not in indexed_set]:
-            tombstones.discard(ext)
-            row_of_external.pop(ext, None)
-        self._install_generation(inner, indexed_external, delta, tombstones)
+        self._install_generation(
+            inner, buffer, n_rows, external_of, row_of, tombstone_mask
+        )
         self._next_id = next_id
         self.rebuilds = int(state["rebuilds"][0])
         self.reclaimed_bytes = int(state.get("reclaimed_bytes", [0])[0])
@@ -324,28 +349,32 @@ class DynamicProMIPS:
 
     # ------------------------------------------------------------- mutation
 
-    def _sorted_id_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The row map as aligned ``(external ids, buffer rows)`` arrays,
-        ascending by id — C-speed extraction, safe to run under a lock."""
-        n_map = len(self._row_of_external)
-        ids = np.fromiter(self._row_of_external.keys(), np.int64, n_map)
-        rows = np.fromiter(self._row_of_external.values(), np.int64, n_map)
-        order = np.argsort(ids)
-        return ids[order], rows[order]
+    def _delta_rows(self) -> np.ndarray:
+        """Buffer rows of the live delta points, ascending (= id order)."""
+        n_indexed = self._index.n
+        return n_indexed + np.flatnonzero(
+            self._external_of[n_indexed : self._n_rows] >= 0
+        )
+
+    def _live_rows(self) -> np.ndarray:
+        """Buffer rows of every live point, ascending (= id order)."""
+        live = self._external_of[: self._n_rows] >= 0
+        live[: self._index.n] &= ~self._tombstone_mask
+        return np.flatnonzero(live)
 
     @property
     def n_live(self) -> int:
         """Number of live (non-deleted) points."""
-        return len(self._row_of_external) - len(self._tombstones)
+        return self._index.n - self._n_tombstones + self._n_delta
 
     @property
     def delta_size(self) -> int:
-        return len(self._delta)
+        return self._n_delta
 
     @property
     def tombstone_count(self) -> int:
         """Deleted-but-still-indexed points awaiting compaction."""
-        return len(self._tombstones)
+        return self._n_tombstones
 
     @property
     def indexed_points(self) -> int:
@@ -357,25 +386,23 @@ class DynamicProMIPS:
         """Rows held in the vector buffer (live + dead, pre-compaction)."""
         return self._n_rows
 
-    def _append_row(self, vector: np.ndarray) -> int:
-        if self._n_rows == self._vec_buf.shape[0]:
-            grown = np.empty(
-                (max(8, 2 * self._vec_buf.shape[0]), self.dim), dtype=np.float64
-            )
-            grown[: self._n_rows] = self._vec_buf[: self._n_rows]
-            self._vec_buf = grown
-        self._vec_buf[self._n_rows] = vector
-        self._n_rows += 1
-        return self._n_rows - 1
-
     def insert(self, vector: np.ndarray) -> int:
         """Insert one point; returns its external id.  O(1) amortised."""
         vector = validate_query(vector, self.dim)
         ext_id = self._next_id
+        row = self._n_rows
+        if row == self._vec_buf.shape[0]:
+            self._vec_buf = _grown(self._vec_buf, row)
+        if row == self._external_of.size:
+            self._external_of = _grown(self._external_of, row)
+        if ext_id == self._row_of.size:
+            self._row_of = _grown(self._row_of, ext_id)
+        self._vec_buf[row] = vector
+        self._external_of[row] = ext_id
+        self._row_of[ext_id] = row
+        self._n_rows += 1
+        self._n_delta += 1
         self._next_id += 1
-        row = self._append_row(vector)
-        self._row_of_external[ext_id] = row
-        self._delta[ext_id] = row
         self._maybe_maintain()
         return ext_id
 
@@ -387,28 +414,37 @@ class DynamicProMIPS:
         mutating: deleting the last live point raises without tombstoning
         it, so the structure is never left empty (and therefore corrupt for
         every subsequent search).
+
+        Raises:
+            ValueError: ``external_id`` is not an integer (bools included).
+            KeyError: unknown or already-deleted id.
         """
-        if (
-            external_id not in self._row_of_external
-            or external_id in self._tombstones
-        ):
+        external_id = validate_id(external_id)
+        n_indexed = self._index.n
+        row = (
+            int(self._row_of[external_id])
+            if 0 <= external_id < self._next_id
+            else -1
+        )
+        if row < 0 or (row < n_indexed and self._tombstone_mask[row]):
             raise KeyError(f"unknown or already-deleted id {external_id}")
         if self.n_live == 1:
             raise ValueError("cannot delete the last live point")
-        if external_id in self._delta:
-            del self._delta[external_id]
-            del self._row_of_external[external_id]
+        if row < n_indexed:
+            self._tombstone_mask[row] = True
+            self._n_tombstones += 1
         else:
-            self._tombstones.add(int(external_id))
-            self._tombstone_mask[self._indexed_of_external[external_id]] = True
+            self._external_of[row] = -1
+            self._row_of[external_id] = -1
+            self._n_delta -= 1
         self._maybe_maintain()
 
     def maintenance_due(self) -> str | None:
         """Why a compaction is due now (``"delta"``/``"tombstones"``) or None."""
         base = max(1, self._index.n)
-        if len(self._delta) > self.rebuild_threshold * base:
+        if self._n_delta > self.rebuild_threshold * base:
             return "delta"
-        if len(self._tombstones) > self.compact_threshold * base:
+        if self._n_tombstones > self.compact_threshold * base:
             return "tombstones"
         return None
 
@@ -419,7 +455,8 @@ class DynamicProMIPS:
     # --------------------------------------------------- generational rebuild
 
     def begin_rebuild(self) -> RebuildTicket:
-        """Snapshot the live set for a new generation (cheap; under lock).
+        """Snapshot the live set for a new generation (cheap; under lock:
+        one mask over the id array and one row gather).
 
         Raises:
             RuntimeError: a rebuild is already in flight — generations are
@@ -429,17 +466,9 @@ class DynamicProMIPS:
             raise RuntimeError("a rebuild is already in progress")
         self._rebuild_in_progress = True
         try:
-            # Vectorized: this runs with the serving lock held, so the id
-            # filtering must be C-speed array work, not a per-id Python loop.
-            ids, rows = self._sorted_id_rows()
-            if self._tombstones:
-                tomb = np.fromiter(
-                    self._tombstones, np.int64, len(self._tombstones)
-                )
-                live = ~np.isin(ids, tomb)
-                ids, rows = ids[live], rows[live]
+            rows = self._live_rows()
             return RebuildTicket(
-                live_ids=ids,
+                live_ids=self._external_of[rows],
                 vectors=self._vec_buf[rows],  # fancy index: independent copy
                 next_id=self._next_id,
             )
@@ -452,11 +481,11 @@ class DynamicProMIPS:
     def build_generation(self, ticket: RebuildTicket) -> StagedGeneration:
         """Bulk-load the next generation (expensive; run OFF the lock).
 
-        Also stages the new generation's vector buffer (snapshot rows
+        Also stages the new generation's vector buffer — snapshot rows
         already copied in, spare capacity for the drift accumulating while
-        we build) and its external→index map, so the commit's lock-held
-        phase is O(drift) row copies plus C-speed id scans — not an
-        O(live × d) memcpy stalling every query behind the lock.
+        we build — so the commit's lock-held phase is O(drift) row copies
+        plus array passes over the ids, not an O(live × d) memcpy stalling
+        every query behind the lock.
         """
         built = ProMIPS.build(ticket.vectors, self.params, rng=self._rng)
         n_indexed = ticket.live_ids.size
@@ -468,13 +497,12 @@ class DynamicProMIPS:
         capacity = n_indexed + min(2 * drift_hint + 8, max(64, n_indexed))
         buffer = np.empty((max(8, capacity), self.dim), dtype=np.float64)
         buffer[:n_indexed] = ticket.vectors
-        snapshot_map = {int(e): pos for pos, e in enumerate(ticket.live_ids.tolist())}
-        return StagedGeneration(built, buffer, snapshot_map)
+        return StagedGeneration(built, buffer)
 
     def commit_rebuild(self, ticket: RebuildTicket, staged: StagedGeneration) -> dict:
         """Swap the new generation in and replay drift (cheap; under lock:
-        O(drift) row copies plus C-speed id scans and one dict copy — the
-        buffer and map were staged off-lock by :meth:`build_generation`).
+        O(drift) row copies plus array passes over the ids — the buffer was
+        staged off-lock by :meth:`build_generation`).
 
         Mutations that landed between ``begin_rebuild`` and here replay into
         the new generation: still-live inserts (ids ``>= ticket.next_id``)
@@ -492,51 +520,42 @@ class DynamicProMIPS:
             n_indexed = live_ids.size
             # Snapshotted points deleted during the build: in the new index,
             # so they re-enter as the only tombstones of the new generation.
-            # Vectorized — this runs with the serving lock held.
-            n_map = len(self._row_of_external)
-            current = np.fromiter(self._row_of_external.keys(), np.int64, n_map)
-            dead_mask = ~np.isin(live_ids, current)
-            if self._tombstones:
-                tomb = np.fromiter(
-                    self._tombstones, np.int64, len(self._tombstones)
-                )
-                dead_mask |= np.isin(live_ids, tomb)
-            dead = {int(e) for e in live_ids[dead_mask].tolist()}
-            # Inserts that landed during the build, still live.
-            replayed = sorted(e for e in self._delta if e >= ticket.next_id)
+            # A deleted delta point has no row; a deleted indexed point is
+            # tombstoned in the current generation.
+            rows = self._row_of[live_ids]
+            dead = rows < 0
+            held = np.flatnonzero(~dead & (rows < self._index.n))
+            dead[held] = self._tombstone_mask[rows[held]]
+            # Inserts that landed during the build, still live, in id order.
+            drift_rows = self._row_of[ticket.next_id : self._next_id]
+            replay_rows = drift_rows[drift_rows >= 0]
+            n_rows = n_indexed + replay_rows.size
 
             buf = staged.buffer
-            need = n_indexed + len(replayed)
-            if buf.shape[0] < need:  # drift larger than the staged headroom
-                buf = np.empty((need, self.dim), dtype=np.float64)
+            if buf.shape[0] < n_rows:  # drift larger than the staged headroom
+                buf = np.empty((n_rows, self.dim), dtype=np.float64)
                 buf[:n_indexed] = ticket.vectors
-            row_of_external = dict(staged.snapshot_map)  # C-speed copy, then drift
-            delta: dict[int, int] = {}
-            for j, ext in enumerate(replayed):
-                row = n_indexed + j
-                buf[row] = self._vec_buf[self._row_of_external[ext]]
-                row_of_external[ext] = row
-                delta[ext] = row
-            n_rows = n_indexed + len(replayed)
+            buf[n_indexed:n_rows] = self._vec_buf[replay_rows]
+            external_of = np.full(buf.shape[0], -1, dtype=np.int64)
+            external_of[:n_indexed] = live_ids
+            external_of[n_indexed:n_rows] = self._external_of[replay_rows]
+            row_of = np.full(self._row_of.size, -1, dtype=np.int64)
+            row_of[external_of[:n_rows]] = np.arange(n_rows)
             # Reclaimed = allocated buffer storage actually given back:
             # dead rows, orphans, and the doubling buffer's spare capacity.
             reclaimed = (
                 max(0, self._vec_buf.shape[0] - buf.shape[0]) * self.dim * 8
             )
 
-            self._vec_buf = buf
-            self._n_rows = n_rows
-            self._row_of_external = row_of_external
             self._install_generation(
-                staged.index, live_ids.copy(), delta, dead,
-                indexed_of_external=staged.snapshot_map,
+                staged.index, buf, n_rows, external_of, row_of, dead
             )
             self.rebuilds += 1
             self.reclaimed_bytes += reclaimed
             return {
                 "reclaimed_bytes": reclaimed,
-                "replayed_inserts": len(replayed),
-                "replayed_deletes": len(dead),
+                "replayed_inserts": int(replay_rows.size),
+                "replayed_deletes": self._n_tombstones,
                 "live_points": self.n_live,
                 "indexed_points": staged.index.n,
             }
@@ -596,22 +615,23 @@ class DynamicProMIPS:
         """
         n_q = queries.shape[0]
         k = min(k, self.n_live)
-        index_k = min(self._index.n, k + len(self._tombstones))
+        index_k = min(self._index.n, k + self._n_tombstones)
         base = self._index.search_many(queries, k=index_k, **kwargs)
 
         # Indexed block: local ids -> external, pads and tombstones masked.
         pad = base.ids == BatchResult.PAD_ID
         safe = np.where(pad, 0, base.ids)
         dead = pad | self._tombstone_mask[safe]
-        id_blocks = [np.where(dead, MERGE_SENTINEL, self._indexed_external[safe])]
+        id_blocks = [np.where(dead, MERGE_SENTINEL, self._external_of[safe])]
         score_blocks = [np.where(dead, -np.inf, base.scores)]
 
-        n_delta = len(self._delta)
+        delta_rows = self._delta_rows()
+        n_delta = delta_rows.size
         if n_delta:
-            delta_ids = np.fromiter(self._delta.keys(), np.int64, n_delta)
-            rows = np.fromiter(self._delta.values(), np.int64, n_delta)
-            delta_scores = batch_inner_products(self._vec_buf[rows], queries)
-            id_blocks.append(np.broadcast_to(delta_ids, (n_q, n_delta)))
+            delta_scores = batch_inner_products(self._vec_buf[delta_rows], queries)
+            id_blocks.append(
+                np.broadcast_to(self._external_of[delta_rows], (n_q, n_delta))
+            )
             score_blocks.append(np.ascontiguousarray(delta_scores.T))
 
         top_ids, top_scores = merge_topk_panels(id_blocks, score_blocks, k)
@@ -629,25 +649,18 @@ class DynamicProMIPS:
     def index_size_bytes(self) -> int:
         """Everything beyond one copy of the live indexed data: the inner
         index's structures, every buffer row that is not live indexed data
-        (delta copies, tombstoned rows, orphaned rows awaiting compaction,
+        (delta copies, tombstoned rows, dead delta rows awaiting compaction,
         and the doubling buffer's allocated-but-unused capacity — all of it
-        resident memory), and the id-mapping tables.  Before
-        compaction-aware accounting this omitted the dead rows and the
-        maps, underreporting exactly the storage a delete-heavy workload
-        accumulates."""
-        live_indexed = self._index.n - len(self._tombstones)
+        resident memory), and the id arrays (two int64 maps and the
+        tombstone mask, capacity included)."""
+        live_indexed = self._index.n - self._n_tombstones
         aux_rows = self._vec_buf.shape[0] - live_indexed
-        map_entries = (
-            len(self._row_of_external)
-            + len(self._indexed_of_external)
-            + len(self._delta)
-        )
         return (
             self._index.index_size_bytes()
             + aux_rows * self.dim * 8
-            + self._indexed_external.nbytes
+            + self._external_of.nbytes
+            + self._row_of.nbytes
             + self._tombstone_mask.nbytes
-            + 16 * map_entries  # two int64-sized words per mapping entry
         )
 
     def __repr__(self) -> str:

@@ -47,6 +47,9 @@ def _decode_meta(blob: np.ndarray) -> dict:
 def save_index(index, path: str | Path, extra_meta: dict | None = None) -> Path:
     """Serialize any registered built index to ``path`` (a ``.npz`` file).
 
+    The file is the index's envelope packed under the empty prefix — the
+    same codec :func:`pack_substate` applies to the shards of a composite.
+
     Args:
         index: a built index implementing the registry contract
             (``spec()`` / ``state()``, see :mod:`repro.spec`).
@@ -59,30 +62,10 @@ def save_index(index, path: str | Path, extra_meta: dict | None = None) -> Path:
     Returns:
         The path written.
     """
-    method = getattr(type(index), "method_name", None)
-    if method is None or not (hasattr(index, "spec") and hasattr(index, "state")):
-        raise TypeError(
-            f"{type(index).__name__} is not a registered method "
-            "(missing @register_method / spec() / state())"
-        )
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(".npz")
-    meta = {
-        "format_version": _FORMAT_VERSION,
-        "method": method,
-        "spec": index.spec().to_dict(),
-        "extras": extra_meta or {},
-    }
-    state = index.state()
-    bad = [k for k in state if not isinstance(state[k], np.ndarray)]
-    if bad:
-        raise TypeError(f"state() of {method!r} returned non-array entries: {bad}")
-    np.savez_compressed(
-        path,
-        __meta__=_encode_meta(meta),
-        **{f"{_STATE_PREFIX}{k}": v for k, v in state.items()},
-    )
+    np.savez_compressed(path, **_pack(index, "", extras=extra_meta or {}))
     return path
 
 
@@ -91,7 +74,7 @@ def pack_substate(index, prefix: str) -> dict[str, np.ndarray]:
 
     Composite indexes (e.g. :class:`repro.core.sharded.ShardedIndex`) nest
     other registered methods inside their own ``state()``.  This helper
-    serialises one inner index the same way :func:`save_index` would — a
+    serialises one inner index the same way :func:`save_index` does — a
     JSON meta blob naming the method and its spec, plus its state arrays —
     but into a flat dict under ``prefix`` instead of a file, so the composite
     still persists through the single v2 ``.npz`` envelope.
@@ -105,6 +88,12 @@ def pack_substate(index, prefix: str) -> dict[str, np.ndarray]:
         ``{f"{prefix}__meta__": ..., f"{prefix}state__{k}": ...}`` arrays,
         invertible with :func:`unpack_substate`.
     """
+    return _pack(index, prefix)
+
+
+def _pack(index, prefix: str, **meta_fields) -> dict[str, np.ndarray]:
+    """The envelope codec: meta blob (method, spec, ``meta_fields``) plus
+    the state arrays, every key under ``prefix``."""
     method = getattr(type(index), "method_name", None)
     if method is None or not (hasattr(index, "spec") and hasattr(index, "state")):
         raise TypeError(
@@ -115,6 +104,7 @@ def pack_substate(index, prefix: str) -> dict[str, np.ndarray]:
         "format_version": _FORMAT_VERSION,
         "method": method,
         "spec": index.spec().to_dict(),
+        **meta_fields,
     }
     out: dict[str, np.ndarray] = {f"{prefix}__meta__": _encode_meta(meta)}
     for key, value in index.state().items():
@@ -125,14 +115,15 @@ def pack_substate(index, prefix: str) -> dict[str, np.ndarray]:
 
 
 def unpack_substate(state: dict[str, np.ndarray], prefix: str):
-    """Reconstruct an index packed by :func:`pack_substate` under ``prefix``."""
+    """Reconstruct an index packed by :func:`pack_substate` under ``prefix``
+    (:func:`load_index` is this with the empty prefix)."""
     meta_key = f"{prefix}__meta__"
     if meta_key not in state:
         raise ValueError(f"no sub-envelope under prefix {prefix!r}")
     meta = _decode_meta(state[meta_key])
     if meta.get("format_version") != _FORMAT_VERSION:
         raise ValueError(
-            f"unsupported sub-envelope format {meta.get('format_version')!r} "
+            f"unsupported index format {meta.get('format_version')!r} "
             f"(expected {_FORMAT_VERSION})"
         )
     spec = IndexSpec.from_dict(meta["spec"])
@@ -154,20 +145,7 @@ def load_index(path: str | Path):
     path = Path(path)
     with np.load(path) as blob:
         if "__meta__" in blob.files:
-            meta = _decode_meta(blob["__meta__"])
-            if meta.get("format_version") != _FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported index format {meta.get('format_version')!r} "
-                    f"(expected {_FORMAT_VERSION})"
-                )
-            spec = IndexSpec.from_dict(meta["spec"])
-            state = {
-                key[len(_STATE_PREFIX):]: np.asarray(blob[key])
-                for key in blob.files
-                if key.startswith(_STATE_PREFIX)
-            }
-            cls = get_method(meta["method"])
-            return cls.from_state(spec, state)
+            return unpack_substate({key: blob[key] for key in blob.files}, "")
         if "meta" in blob.files:
             return _load_v1(blob)
         raise ValueError(f"{path} is not a saved index (no envelope found)")

@@ -48,6 +48,7 @@ from repro.api import (
     BatchResult,
     SearchResult,
     SearchStats,
+    validate_id,
     validate_k,
     validate_queries,
     validate_query,
@@ -284,41 +285,13 @@ class ShardedIndex:
             self._shard_members(s).nbytes for s in range(self.n_shards)
         )
 
-    # ------------------------------------------------------------------- merge
-
-    def _merge(self, shard_results: list[SearchResult], k: int) -> SearchResult:
-        """Exact cross-shard top-k: order by ``(-score, global_id)``.
-
-        Identical to the total order the unsharded engine applies, which is
-        what makes sharding invisible for exact inner methods.  No shard can
-        contribute more than its own top-k to the global top-k, so merging
-        the per-shard short-lists loses nothing.
-        """
-        gids = np.concatenate(
-            [self._shard_members(s)[r.ids] for s, r in enumerate(shard_results)]
-        )
-        scores = np.concatenate([r.scores for r in shard_results])
-        order = np.lexsort((gids, -scores))[:k]
-        per_shard_candidates = [r.stats.candidates for r in shard_results]
-        stats = SearchStats(
-            pages=sum(r.stats.pages for r in shard_results),
-            candidates=sum(per_shard_candidates),
-            extras={
-                "shards": self.n_shards,
-                "per_shard_candidates": per_shard_candidates,
-            },
-        )
-        return SearchResult(ids=gids[order], scores=scores[order], stats=stats)
-
     # ------------------------------------------------------------------ search
 
     def search(self, query: np.ndarray, k: int = 1, **kwargs) -> SearchResult:
-        """Top-k over all shards (each shard clamps ``k`` to its own size)."""
-        k = validate_k(k)
+        """Top-k over all shards: a one-row :meth:`search_many` on the
+        calling thread, so single and batch answers share one merge."""
         query = validate_query(query, self.dim)
-        k = min(k, self.n_live)
-        results = [shard.search(query, k=k, **kwargs) for shard in self.shards]
-        return self._merge(results, k)
+        return self.search_many(query[None, :], k=k, n_threads=1, **kwargs)[0]
 
     def search_many(
         self,
@@ -372,15 +345,18 @@ class ShardedIndex:
     def _merge_batches(
         self, shard_batches: list[BatchResult], n_q: int, k: int
     ) -> BatchResult:
-        """Vectorized cross-shard merge of whole batches.
+        """Exact cross-shard top-k of whole batches: order by
+        ``(-score, global_id)``.
 
-        The per-query order is the same ``(-score, global_id)`` of
-        :meth:`_merge`, but applied to all queries at once: each shard's
-        ``(n_q, k')`` id block remaps to global ids in one gather, the blocks
-        concatenate into ``(n_q, Σk')`` panels, and one axis-wise lexsort
-        selects every row's top-k.  Keeping the merge out of a per-query
-        Python loop matters because on a many-core host it is the only
-        serial stage left after the fan-out.
+        That is the total order the unsharded engine applies, which is what
+        makes sharding invisible for exact inner methods; no shard can
+        contribute more than its own top-k to the global top-k, so merging
+        the per-shard short-lists loses nothing.  Each shard's ``(n_q, k')``
+        id block remaps to global ids in one gather, the blocks concatenate
+        into ``(n_q, Σk')`` panels, and one axis-wise lexsort selects every
+        row's top-k.  Keeping the merge out of a per-query Python loop
+        matters because on a many-core host it is the only serial stage
+        left after the fan-out.
         """
         # Padded slots (an approximate shard can come up short of k) sort
         # last under (score=-inf, gid=sentinel) and are re-masked after the
@@ -478,14 +454,16 @@ class ShardedIndex:
 
         Raises:
             KeyError: unknown or already-deleted id.
-            ValueError: deleting would empty the owning shard — the inner
-                dynamic index refuses to tombstone its last live point, so
-                unlike the unsharded index the composite cannot drain one
-                partition completely (a documented sharding limitation; the
-                error names the shard so callers can tell it apart from the
+            ValueError: ``global_id`` is not an integer, or deleting
+                would empty the owning shard — the inner dynamic index
+                refuses to tombstone its last live point, so unlike the
+                unsharded index the composite cannot drain one partition
+                completely (a documented sharding limitation; the error
+                names the shard so callers can tell it apart from the
                 composite running dry).
         """
         self._require_mutable()
+        global_id = validate_id(global_id)
         for s, shard in enumerate(self.shards):
             members = self._shard_members(s)
             pos = int(np.searchsorted(members, global_id))

@@ -54,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.api import validate_k, validate_queries, validate_query
+from repro.api import validate_id, validate_k, validate_queries, validate_query
 from repro.core.maintenance import MaintenanceEngine, maintenance_targets
 from repro.core.persist import load_index
 from repro.serve.cache import ResultCache
@@ -222,13 +222,12 @@ class ServingRuntime:
         """Delete one point by id; bumps the cache generation."""
         start = time.monotonic()
         self._require_mutable("delete")
-        if isinstance(point_id, bool) or not isinstance(point_id, int):
-            raise ValueError(f"id must be an integer, got {point_id!r}")
+        point_id = validate_id(point_id)
         with self._index_lock:
             self.index.delete(point_id)
         generation = self.cache.bump_generation()
         self.telemetry.record_request("delete", time.monotonic() - start)
-        return {"deleted": int(point_id), "generation": generation}
+        return {"deleted": point_id, "generation": generation}
 
     # ------------------------------------------------------------ inspection
 

@@ -10,6 +10,7 @@ from repro.api import (
     MIPSIndex,
     SearchResult,
     SearchStats,
+    validate_id,
     validate_queries,
     validate_query,
 )
@@ -54,6 +55,24 @@ class TestValidateQuery:
 
     def test_flattens_row_vectors(self):
         assert validate_query(np.ones((1, 3)), 3).shape == (3,)
+
+
+class TestValidateId:
+    def test_accepts_python_and_numpy_integers(self):
+        for value in (0, 7, np.int64(7), np.int32(7), np.uint8(7)):
+            out = validate_id(value)
+            assert out == int(value) and type(out) is int
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, np.bool_(True), 2.5, 2.0, np.float64(2), "x", None],
+        ids=repr,
+    )
+    def test_rejects_bools_floats_and_non_numbers(self, bad):
+        with pytest.raises(ValueError, match="integer"):
+            validate_id(bad)
+
+    def test_range_is_left_to_the_caller(self):
+        assert validate_id(-1) == -1
 
 
 class TestEmptyBatch:

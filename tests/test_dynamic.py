@@ -451,3 +451,94 @@ class TestDeleteLastPoint:
         assert result.ids.tolist() == [2]
         with pytest.raises(ValueError):
             index.delete(2)
+
+
+def _bookkeeping(index: DynamicProMIPS) -> dict[str, list[int]]:
+    """``state()``'s float-free id arrays, as plain lists."""
+    state = index.state()
+    keys = (
+        "row_external", "tombstones", "delta_ids", "indexed_external",
+        "next_id", "rebuilds",
+    )
+    return {key: state[key].tolist() for key in keys}
+
+
+class TestIdValidation:
+    """Ids are integers: a bool or a float must not silently name a point,
+    and an out-of-range integer must not wrap around the id arrays."""
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, np.bool_(True), 2.5, 2.0, "x"], ids=repr
+    )
+    def test_non_integer_ids_raise_and_mutate_nothing(self, dyn, bad):
+        data, index = dyn
+        index.insert(data[900])
+        index.delete(3)
+        before = _bookkeeping(index)
+        with pytest.raises(ValueError, match="integer"):
+            index.delete(bad)
+        assert _bookkeeping(index) == before
+        assert index.n_live == 800
+
+    def test_numpy_integer_ids_accepted(self, dyn):
+        _, index = dyn
+        index.delete(np.int64(1))
+        index.delete(np.int32(2))
+        assert index.tombstone_count == 2
+
+    def test_out_of_range_ids_raise_keyerror(self, dyn):
+        data, index = dyn
+        index.insert(data[900])
+        before = _bookkeeping(index)
+        for bad in (-1, -801, index._next_id, index._next_id + 10**6):
+            with pytest.raises(KeyError):
+                index.delete(bad)
+        assert _bookkeeping(index) == before
+
+
+class TestStateBookkeepingPinned:
+    """The id arrays ``state()`` writes after a fixed script of inserts,
+    deletes (of indexed, delta and drift points) and one generational
+    rebuild with mutations landing mid-build.  The expected values are
+    literals, so the envelope contents cannot drift with the internal
+    layout."""
+
+    def test_bookkeeping_after_fixed_script(self):
+        gen = np.random.default_rng(11)
+        data = gen.standard_normal((40, 8))
+        index = DynamicProMIPS(
+            data, ProMIPSParams(m=4, kp=2, n_key=6, ksp=3), rng=3,
+            rebuild_threshold=0.5, compact_threshold=0.5,
+        )
+        vectors = gen.standard_normal((6, 8))
+        assert [index.insert(v) for v in vectors[:3]] == [40, 41, 42]
+        for victim in (5, 41, 17):
+            index.delete(victim)
+        before_rebuild = _bookkeeping(index)
+
+        ticket = index.begin_rebuild()
+        assert index.insert(vectors[3]) == 43
+        index.delete(8)   # snapshotted and indexed
+        index.delete(42)  # snapshotted, in the old delta
+        index.commit_rebuild(ticket, index.build_generation(ticket))
+        assert index.insert(vectors[4]) == 44
+        index.delete(43)  # replayed into the new delta, then deleted
+        index.delete(0)
+
+        assert before_rebuild == {
+            "row_external": list(range(40)) + [40, 42],
+            "tombstones": [5, 17],
+            "delta_ids": [40, 42],
+            "indexed_external": list(range(40)),
+            "next_id": [43],
+            "rebuilds": [0],
+        }
+        indexed = [i for i in range(40) if i not in (5, 17)] + [40, 42]
+        assert _bookkeeping(index) == {
+            "row_external": indexed + [44],
+            "tombstones": [0, 8, 42],
+            "delta_ids": [44],
+            "indexed_external": indexed,
+            "next_id": [45],
+            "rebuilds": [1],
+        }

@@ -183,7 +183,7 @@ class TestRunOnce:
         def boom():
             raise MemoryError("synthetic snapshot failure")
 
-        monkeypatch.setattr(sharded.shards[0], "_sorted_id_rows", boom)
+        monkeypatch.setattr(sharded.shards[0], "_live_rows", boom)
         with pytest.raises(MemoryError):
             engine.run_once()
         # The cursor moved past the failing shard: the healthy ones rebuild.
@@ -211,7 +211,7 @@ class TestRunOnce:
         def boom():
             raise MemoryError("synthetic snapshot failure")
 
-        monkeypatch.setattr(index, "_sorted_id_rows", boom)
+        monkeypatch.setattr(index, "_live_rows", boom)
         with pytest.raises(MemoryError):
             engine.run_once()
         stats = engine.stats()

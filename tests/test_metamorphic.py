@@ -13,12 +13,16 @@ statistical ones (recall monotonicity over a fixed workload).
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.persist import load_index, save_index
 from repro.core.sharded import ShardedIndex
 from repro.eval.metrics import recall
 from repro.spec import build_index
@@ -191,7 +195,10 @@ class TestDynamicMutationSoundness:
     score is the true inner product of the id it is attached to, and the
     compaction triggers keep both pressure sources (delta size, tombstone
     count) bounded — the degradation a delete-only workload used to
-    accumulate forever."""
+    accumulate forever.  The stream also runs generational rebuilds with
+    mutations landing between ``begin_rebuild`` and ``commit_rebuild``, and
+    save/load round trips whose reloaded index must answer identically and
+    then carries on mutating."""
 
     SPEC = (
         "dynamic(c=0.85, m=4, kp=2, n_key=6, ksp=3, "
@@ -211,15 +218,49 @@ class TestDynamicMutationSoundness:
         live = {i: data[i] for i in range(30)}
         vec_gen = np.random.default_rng(seed + 1000)
         query = gen.standard_normal(dim)
+        queries = np.vstack([query, gen.standard_normal(dim)])
 
-        for op in ops:
-            if op % 3 == 0 and len(live) > 1:
+        def insert():
+            vec = vec_gen.standard_normal(dim)
+            live[index.insert(vec)] = vec
+
+        def delete(op):
+            if len(live) > 1:
                 victim = sorted(live)[op % len(live)]
                 index.delete(victim)
                 del live[victim]
+
+        for op in ops:
+            if op >= 95:
+                # Save/load round trip: the reloaded index answers exactly
+                # like the one it was saved from, and replaces it.
+                with tempfile.TemporaryDirectory() as tmp:
+                    reloaded = load_index(save_index(index, Path(tmp) / "dyn"))
+                before = index.search_many(queries, k=5)
+                after = reloaded.search_many(queries, k=5)
+                assert np.array_equal(before.ids, after.ids)
+                assert np.array_equal(before.scores, after.scores)
+                assert reloaded.n_live == index.n_live
+                index = reloaded
+            elif op >= 88:
+                # Generational rebuild with drift: an insert, a delete (maybe
+                # of that insert) and another insert land mid-build.
+                index.defer_maintenance = True
+                ticket = index.begin_rebuild()
+                insert()
+                delete(op)
+                staged = index.build_generation(ticket)
+                insert()
+                index.commit_rebuild(ticket, staged)
+                index.defer_maintenance = False
+                # Replayed drift can itself be over a threshold on a tiny
+                # generation; a maintenance engine's next poll compacts it.
+                if index.maintenance_due() is not None:
+                    index.compact()
+            elif op % 3 == 0:
+                delete(op)
             else:
-                vec = vec_gen.standard_normal(dim)
-                live[index.insert(vec)] = vec
+                insert()
             assert index.n_live == len(live)
 
             result = index.search(query, k=5)
@@ -237,7 +278,6 @@ class TestDynamicMutationSoundness:
             assert index.tombstone_count <= 0.25 * base + 1
 
         # The batch path agrees bit-for-bit in whatever state we ended in.
-        queries = np.vstack([query, gen.standard_normal(dim)])
         batch = index.search_many(queries, k=5)
         for i, q in enumerate(queries):
             single = index.search(q, k=5)

@@ -199,6 +199,16 @@ class TestMutationEndpoints:
         code, payload = client.post("/delete", {"id": 12345})
         assert code == 404 and "12345" in payload["error"]
 
+    @pytest.mark.parametrize("bad", [True, 2.5, 2.0, "x"], ids=repr)
+    def test_delete_rejects_non_integer_ids(self, serve, bad):
+        client, _ = self._dynamic_client(serve)
+        code, payload = client.post("/delete", {"id": bad})
+        assert code == 400 and "integer" in payload["error"]
+        # Nothing was deleted: the generation did not move, so the next
+        # real delete is still the first.
+        code, deleted = client.post("/delete", {"id": 1})
+        assert code == 200 and deleted == {"deleted": 1, "generation": 1}
+
     def test_delete_removes_point(self, serve):
         client, data = self._dynamic_client(serve)
         q = data[0].tolist()

@@ -320,6 +320,21 @@ class TestDynamicRouting:
         with pytest.raises(KeyError):
             sharded.delete(10)
 
+    @pytest.mark.parametrize("bad", [True, 2.5, 2.0, "x"], ids=repr)
+    def test_non_integer_ids_raise_and_mutate_nothing(self, dynamic_sharded, bad):
+        _, sharded = dynamic_sharded
+        with pytest.raises(ValueError, match="integer"):
+            sharded.delete(bad)
+        assert sharded.n_live == 300
+        assert [shard.tombstone_count for shard in sharded.shards] == [0, 0, 0]
+
+    def test_out_of_range_ids_raise_keyerror(self, dynamic_sharded):
+        _, sharded = dynamic_sharded
+        for bad in (-1, sharded._next_id):
+            with pytest.raises(KeyError):
+                sharded.delete(bad)
+        assert sharded.n_live == 300
+
     def test_double_delete_error_names_the_global_id(self, dynamic_sharded):
         data, sharded = dynamic_sharded
         gid = sharded.insert(np.random.default_rng(3).standard_normal(data.shape[1]))
