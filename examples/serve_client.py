@@ -61,7 +61,7 @@ def start_local_server() -> tuple[str, object, object]:
     rng = np.random.default_rng(0)
     items, _ = make_latent_factor(5_000, 32, rng, n_queries=1)
     index = build_index("dynamic(c=0.9)", items, rng=1)
-    runtime = ServingRuntime(index, max_batch=32, max_wait_ms=2.0, cache_size=256)
+    runtime = ServingRuntime(index, max_batch=32, cache_size=256)
     server = make_server(runtime)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     host, port = server.server_address[:2]
@@ -110,7 +110,8 @@ def main() -> int:
     # --- mutations invalidate the cache ------------------------------------
     spike = (np.asarray(query) * 25.0).tolist()
     code, inserted = call(base, "/insert", {"vector": spike})
-    if code == 200:
+    mutable = code == 200
+    if mutable:
         code, after = call(base, "/search", {"query": query, "k": 5})
         expect(code == 200 and not after["cached"]
                and after["ids"][0] == inserted["id"],
@@ -140,19 +141,19 @@ def main() -> int:
         expect(code == 200 and not set(churned) & set(after_churn["ids"]),
                "no deleted id survives the churn round-trip")
 
-        # --- background maintenance is attached and reporting (enabled is
-        # False only under the explicit --no-maintenance debug flag)
+        # --- background maintenance is attached to every mutable index
         code, stats = call(base, "/stats")
         maint = stats.get("maintenance", {})
-        expect(code == 200 and "enabled" in maint,
+        expect(code == 200 and maint.get("enabled") is True,
                f"/stats reports maintenance "
                f"(enabled={maint.get('enabled')}, "
                f"rebuilds={maint.get('rebuilds')}, "
                f"reclaimed_bytes={maint.get('reclaimed_bytes')}, "
                f"in_flight={maint.get('in_flight')})")
     else:
-        print(f"  note: served index is immutable ({inserted.get('error')}); "
-              "skipping the mutation steps")
+        expect(code == 400 and "error" in inserted,
+               f"immutable index refuses /insert with HTTP 400 "
+               f"({inserted.get('error')}); skipping the mutation steps")
 
     # --- malformed requests get clean 400s ----------------------------------
     code, error = call(base, "/search", {"query": query, "k": 0})
@@ -161,7 +162,9 @@ def main() -> int:
 
     # --- telemetry -----------------------------------------------------------
     code, stats = call(base, "/stats")
-    expect(code == 200 and stats["requests_total"] >= 4
+    # Refused mutations are errors, not answered requests: an immutable
+    # index has answered only the two searches and the batch.
+    expect(code == 200 and stats["requests_total"] >= (4 if mutable else 3)
            and stats["cache"]["hits"] >= 1,
            f"/stats: {stats['requests_total']} requests, "
            f"cache hit rate {stats['cache']['hit_rate']:.2f}, "

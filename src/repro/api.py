@@ -241,18 +241,29 @@ def validate_id(point_id) -> int:
     return int(point_id)
 
 
+# Every score is an inner product, so a vector whose squared norm overflows
+# float64 would score as infinity against itself (and against its neighbours).
+_NORM_OVERFLOW = "vector norm too large: its squared norm overflows float64"
+
+
 def validate_query(query: np.ndarray, dim: int) -> np.ndarray:
-    """Normalise a query to a finite 1-D float64 vector of the right width."""
+    """Normalise a query to a finite 1-D float64 vector of the right width,
+    whose squared norm is finite too."""
     query = np.asarray(query, dtype=np.float64).reshape(-1)
     if query.shape[0] != dim:
         raise ValueError(f"query has dimension {query.shape[0]}, index expects {dim}")
     if not np.all(np.isfinite(query)):
         raise ValueError("query contains non-finite values")
+    with np.errstate(over="ignore"):
+        sq_norm = query @ query
+    if not np.isfinite(sq_norm):
+        raise ValueError(_NORM_OVERFLOW)
     return query
 
 
 def validate_queries(queries: np.ndarray, dim: int) -> np.ndarray:
-    """Normalise a batch to a finite ``(n_q, dim)`` float64 array.
+    """Normalise a batch to a finite ``(n_q, dim)`` float64 array whose
+    rows have finite squared norms.
 
     A single ``(dim,)`` query is promoted to a one-row batch.  An empty
     batch is valid and normalises to ``(0, dim)`` — every ``search_many``
@@ -272,4 +283,8 @@ def validate_queries(queries: np.ndarray, dim: int) -> np.ndarray:
         )
     if not np.all(np.isfinite(queries)):
         raise ValueError("queries contain non-finite values")
+    with np.errstate(over="ignore"):
+        sq_norms = np.einsum("ij,ij->i", queries, queries)
+    if not np.all(np.isfinite(sq_norms)):
+        raise ValueError(_NORM_OVERFLOW)
     return queries

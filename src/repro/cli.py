@@ -322,14 +322,7 @@ def _serve_runtime(args: argparse.Namespace):
     will expose (split out so tests can boot it without a serve loop)."""
     from repro.serve import build_runtime
 
-    runtime_kwargs = dict(
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        cache_size=args.cache_size,
-        coalesce=not args.no_coalesce,
-        maintenance=not args.no_maintenance,
-        maintenance_poll_ms=args.maintenance_poll_ms,
-    )
+    runtime_kwargs = dict(max_batch=args.max_batch, cache_size=args.cache_size)
     if args.index is not None:
         path = Path(args.index)
         if not path.exists():
@@ -489,26 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="most concurrent searches coalesced into one batched dispatch",
     )
     serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0, dest="max_wait_ms",
-        help="longest a search waits to coalesce with neighbours",
-    )
-    serve.add_argument(
         "--cache-size", type=int, default=1024, dest="cache_size",
         help="LRU result-cache entries (0 disables caching)",
-    )
-    serve.add_argument(
-        "--no-coalesce", action="store_true",
-        help="dispatch each request individually (debugging / baseline mode)",
-    )
-    serve.add_argument(
-        "--no-maintenance", action="store_true",
-        help="disable background index maintenance (dynamic indexes then "
-             "compact synchronously inside insert/delete, stalling queries)",
-    )
-    serve.add_argument(
-        "--maintenance-poll-ms", type=float, default=50.0,
-        dest="maintenance_poll_ms",
-        help="idle re-check interval of the background maintenance thread",
     )
     serve.add_argument(
         "--build-seed", type=int, default=1, dest="build_seed",

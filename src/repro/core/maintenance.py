@@ -47,6 +47,10 @@ import numpy as np
 
 __all__ = ["RebuildTicket", "MaintenanceEngine", "maintenance_targets"]
 
+# How often the idle background thread re-checks rebuild thresholds.  Every
+# check takes the serving lock, so it must stay far above a busy spin.
+POLL_INTERVAL_S = 0.05
+
 
 @dataclass
 class RebuildTicket:
@@ -102,8 +106,6 @@ class MaintenanceEngine:
         lock: the lock serialising index access (the serving runtime's
             request lock); a private one is created when maintaining an
             index nothing else touches concurrently.
-        poll_interval_ms: how often the background thread re-checks
-            thresholds when idle.
         on_swap: called after every committed generation swap — the serving
             runtime hooks cache invalidation here, because a new generation
             may rank differently than the one cached answers came from.
@@ -114,7 +116,6 @@ class MaintenanceEngine:
         index,
         lock: threading.Lock | None = None,
         *,
-        poll_interval_ms: float = 50.0,
         on_swap=None,
     ) -> None:
         targets = maintenance_targets(index)
@@ -124,16 +125,9 @@ class MaintenanceEngine:
                 "maintenance needs a 'dynamic(...)' index or a composite "
                 "with dynamic shards"
             )
-        if poll_interval_ms < 0:
-            raise ValueError(
-                f"poll_interval_ms must be >= 0, got {poll_interval_ms}"
-            )
         self._targets = targets
         self._lock = lock if lock is not None else threading.Lock()
         self._on_swap = on_swap
-        # Floor of 1ms: every idle check acquires the serving lock, so a
-        # zero interval would busy-spin the thread against the query path.
-        self.poll_interval = max(float(poll_interval_ms), 1.0) / 1e3
         self._cursor = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -228,11 +222,9 @@ class MaintenanceEngine:
                 # otherwise re-snapshot under the serving lock every poll
                 # tick, forever.
                 ran = None
-                backoff = min(
-                    max(2.0 * backoff, 10.0 * self.poll_interval), 5.0
-                )
+                backoff = min(max(2.0 * backoff, 10.0 * POLL_INTERVAL_S), 5.0)
             if ran is None:
-                self._stop.wait(max(self.poll_interval, backoff))
+                self._stop.wait(max(POLL_INTERVAL_S, backoff))
 
     def start(self) -> "MaintenanceEngine":
         """Start the background thread (idempotent; restartable after

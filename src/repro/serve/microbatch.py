@@ -6,18 +6,24 @@ same queries looped — the whole point of the vectorized ``search_many``
 paths (one GEMM panel instead of N GEMVs, one axis-wise top-k instead of N).
 Quantization-serving systems (Guo et al.) assume exactly such a batched
 online front-end.  The :class:`MicroBatcher` closes that gap: concurrent
-``search`` calls park in a queue, a single dispatcher thread drains up to
-``max_batch`` of them every tick (a tick ends when the batch is full or the
-oldest request has waited ``max_wait_ms``), answers them with **one**
-``search_many`` call, and delivers each caller its slice through a
-:class:`concurrent.futures.Future`.
+``search`` calls park in a queue, a single dispatcher thread answers them
+with **one** ``search_many`` call, and delivers each caller its slice
+through a :class:`concurrent.futures.Future`.
+
+The dispatch rule is continuous batching: whenever the index is free and at
+least one request is pending, the dispatcher takes up to ``max_batch`` of
+them at once.  A request that arrives at an idle index is dispatched
+immediately, alone; a batch holds exactly what queued while the previous
+dispatch held the index.  No request ever waits for company, so coalescing
+costs nothing at low load and amortises the scan under concurrency.
 
 Requests share a batch only when their ``k`` and search kwargs (e.g. a
-per-request ``c`` override) match: the tick groups by ``(k, kwargs)`` and
-dispatches one batch per group.  ``k`` cannot be shared by answering at a
-larger one and trimming, because for approximate methods ``k`` is part of
-the search itself — ProMIPS' stopping conditions test the k-th best score —
-so a trimmed top-10 is not the top-1 ``index.search(q, k=1)`` returns.
+per-request ``c`` override) match: each take is grouped by ``(k, kwargs)``
+and dispatched as one batch per group.  ``k`` cannot be shared by answering
+at a larger one and trimming, because for approximate methods ``k`` is part
+of the search itself — ProMIPS' stopping conditions test the k-th best
+score — so a trimmed top-10 is not the top-1 ``index.search(q, k=1)``
+returns.
 
 Queries are validated *at submit time*, so a malformed request fails fast
 in its own thread and can never poison the batch it would have joined.
@@ -26,14 +32,17 @@ in its own thread and can never poison the batch it would have joined.
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
 
 import numpy as np
 
 from repro.api import SearchResult, validate_k, validate_query
 
-__all__ = ["MicroBatcher"]
+__all__ = ["MicroBatcher", "BatcherClosedError"]
+
+
+class BatcherClosedError(RuntimeError):
+    """A search was submitted to, or still queued in, a closed batcher."""
 
 
 class _Request:
@@ -53,9 +62,6 @@ class MicroBatcher:
     Args:
         index: any :class:`repro.api.MIPSIndex`.
         max_batch: most requests answered by one ``search_many`` call.
-        max_wait_ms: longest a request waits for company before its batch
-            dispatches anyway; ``0`` dispatches whatever is queued
-            immediately (batches then form only under concurrent load).
         index_lock: optional lock held around every ``search_many`` call —
             the serving runtime shares one lock between the dispatcher and
             the mutation endpoints so inserts never interleave a scan.
@@ -67,17 +73,13 @@ class MicroBatcher:
         self,
         index,
         max_batch: int = 32,
-        max_wait_ms: float = 2.0,
         index_lock: threading.Lock | None = None,
         telemetry=None,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self._index = index
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait_ms) / 1e3
         self._index_lock = index_lock if index_lock is not None else threading.Lock()
         self._telemetry = telemetry
         self._cond = threading.Condition()
@@ -97,7 +99,7 @@ class MicroBatcher:
         Raises:
             ValueError: malformed query or ``k`` (checked here, in the
                 caller's thread, so bad requests never reach a batch).
-            RuntimeError: the batcher has been closed.
+            BatcherClosedError: the batcher has been closed.
         """
         k = validate_k(k)
         query = validate_query(query, self._index.dim)
@@ -110,7 +112,7 @@ class MicroBatcher:
             ) from exc
         with self._cond:
             if self._closed:
-                raise RuntimeError("cannot submit to a closed MicroBatcher")
+                raise BatcherClosedError("cannot submit to a closed MicroBatcher")
             self._pending.append(request)
             self._cond.notify()
         return request.future
@@ -126,17 +128,8 @@ class MicroBatcher:
             with self._cond:
                 while not self._pending and not self._closed:
                     self._cond.wait()
-                if not self._pending and self._closed:
-                    return
-                # Batch window: hold the tick open until the batch is full,
-                # the batcher closes, or the oldest request has waited long
-                # enough.  Waiting happens on the condition, so a burst of
-                # submits fills the batch without spinning.
-                deadline = time.monotonic() + self.max_wait
-                while len(self._pending) < self.max_batch and not self._closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._cond.wait(timeout=remaining):
-                        break
+                if not self._pending:
+                    return  # closed, and every queued request answered
                 take = self._pending[: self.max_batch]
                 del self._pending[: self.max_batch]
             try:
@@ -151,7 +144,7 @@ class MicroBatcher:
 
     def _dispatch(self, requests: list[_Request]) -> None:
         # One search_many per distinct (k, kwargs) group; groups preserve
-        # arrival order, so uniform ticks (the common case) are one batch.
+        # arrival order, so a uniform take (the common case) is one batch.
         groups: dict[tuple, list[_Request]] = {}
         for request in requests:
             groups.setdefault(request.group, []).append(request)
@@ -179,10 +172,11 @@ class MicroBatcher:
     # ----------------------------------------------------------------- close
 
     def close(self) -> None:
-        """Stop the dispatcher; in-flight requests finish, queued ones fail.
+        """Stop the dispatcher once every queued request is answered.
 
-        Idempotent.  Requests still queued when the dispatcher exits get a
-        ``RuntimeError`` rather than hanging their clients forever.
+        Idempotent.  Later submits raise :class:`BatcherClosedError`, and so
+        does any request the dispatcher left queued when it exited, rather
+        than hanging its client forever.
         """
         with self._cond:
             if self._closed:
@@ -193,7 +187,7 @@ class MicroBatcher:
         with self._cond:
             leftover, self._pending = self._pending, []
         for request in leftover:
-            request.future.set_exception(RuntimeError("MicroBatcher closed"))
+            request.future.set_exception(BatcherClosedError("MicroBatcher closed"))
 
     def __enter__(self) -> "MicroBatcher":
         return self

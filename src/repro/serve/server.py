@@ -5,9 +5,10 @@ Two layers:
 * :class:`ServingRuntime` — the in-process serving stack.  Every single
   query flows **cache → micro-batcher → index**: a repeated ``(query, k)``
   is answered from the generation-aware LRU cache
-  (:class:`repro.serve.cache.ResultCache`), a cold one coalesces with its
-  concurrent neighbours into one batched GEMM
-  (:class:`repro.serve.microbatch.MicroBatcher`), and mutations
+  (:class:`repro.serve.cache.ResultCache`), a cold one goes to the
+  coalescer (:class:`repro.serve.microbatch.MicroBatcher`), which
+  dispatches it at once when the index is free and otherwise batches it
+  with whatever else queued while the index was busy, and mutations
   (``insert``/``delete`` on a dynamic or sharded-dynamic index) bump the
   cache generation so a stale entry is never served.  The runtime is usable
   without HTTP — the serving-latency bench drives it directly.
@@ -22,6 +23,10 @@ Two layers:
   ``GET /stats``          telemetry + cache counters
   ``GET /healthz``        liveness + index identity
   ==================  =====================================================
+
+  Malformed requests get a JSON 400 (404 for an unknown id or path), a
+  request that reaches a closed runtime a 503, and any other server-side
+  failure a 500; every error status is counted per endpoint in ``/stats``.
 
 The runtime boots from either face of the PR-2 factory/persistence API:
 an inline :class:`repro.spec.IndexSpec` string builds fresh over a dataset,
@@ -47,6 +52,7 @@ in-flight target).
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -58,79 +64,49 @@ from repro.api import validate_id, validate_k, validate_queries, validate_query
 from repro.core.maintenance import MaintenanceEngine, maintenance_targets
 from repro.core.persist import load_index
 from repro.serve.cache import ResultCache
-from repro.serve.microbatch import MicroBatcher
-from repro.serve.telemetry import DEFAULT_WINDOW, Telemetry
+from repro.serve.microbatch import BatcherClosedError, MicroBatcher
+from repro.serve.telemetry import Telemetry
 from repro.spec import build_index
 
 __all__ = ["ServingRuntime", "build_runtime", "make_server"]
+
+_log = logging.getLogger(__name__)
 
 
 class ServingRuntime:
     """The serving stack around one built index.
 
+    A :class:`MaintenanceEngine` attaches whenever the index has
+    rebuildable components (a dynamic index, or a composite with dynamic
+    shards), so compaction never runs inside the mutation endpoints.
+
     Args:
         index: any built :class:`repro.api.MIPSIndex`.
         max_batch: coalescer batch ceiling (see :class:`MicroBatcher`).
-        max_wait_ms: coalescer tick length.
         cache_size: LRU entries; ``0`` disables result caching.
-        coalesce: route single queries through the micro-batcher; ``False``
-            dispatches each request's own ``search`` call (the bench's
-            baseline mode).
-        telemetry_window: latency samples retained for percentiles.
-        maintenance: attach a background :class:`MaintenanceEngine` when the
-            index has rebuildable components; ``False`` keeps the index's
-            own synchronous (stop-the-world) compaction inside the mutation
-            endpoints.
-        maintenance_poll_ms: idle re-check interval of the engine thread.
     """
 
-    def __init__(
-        self,
-        index,
-        max_batch: int = 32,
-        max_wait_ms: float = 2.0,
-        cache_size: int = 1024,
-        coalesce: bool = True,
-        telemetry_window: int = DEFAULT_WINDOW,
-        maintenance: bool = True,
-        maintenance_poll_ms: float = 50.0,
-    ) -> None:
+    def __init__(self, index, max_batch: int = 32, cache_size: int = 1024) -> None:
         self.index = index
-        self.telemetry = Telemetry(window=telemetry_window)
+        self.telemetry = Telemetry()
         self.cache = ResultCache(cache_size)
         self._index_lock = threading.Lock()
+        # The batcher validates its config before starting its thread, so
+        # building it first means a bad config raises before any background
+        # rebuilder exists.
+        self.batcher = MicroBatcher(
+            index,
+            max_batch=max_batch,
+            index_lock=self._index_lock,
+            telemetry=self.telemetry,
+        )
         self.maintenance = (
             MaintenanceEngine(
-                index,
-                self._index_lock,
-                poll_interval_ms=maintenance_poll_ms,
-                on_swap=self.cache.bump_generation,
-            )
-            if maintenance and maintenance_targets(index)
+                index, self._index_lock, on_swap=self.cache.bump_generation
+            ).start()
+            if maintenance_targets(index)
             else None
         )
-        try:
-            self.batcher = (
-                MicroBatcher(
-                    index,
-                    max_batch=max_batch,
-                    max_wait_ms=max_wait_ms,
-                    index_lock=self._index_lock,
-                    telemetry=self.telemetry,
-                )
-                if coalesce
-                else None
-            )
-        except BaseException:
-            # A half-built runtime has no owner to close() it: release the
-            # engine's claim on the index before the constructor raises.
-            if self.maintenance is not None:
-                self.maintenance.close()
-            raise
-        # Threads start only once the whole stack is wired, so a
-        # constructor failure can never leak a live background rebuilder.
-        if self.maintenance is not None:
-            self.maintenance.start()
 
     # ---------------------------------------------------------------- search
 
@@ -156,11 +132,7 @@ class ServingRuntime:
         # the window between the search and the put, the put is dropped
         # rather than stamping a pre-mutation answer as fresh.
         generation = self.cache.generation
-        if self.batcher is not None:
-            result = self.batcher.search(query, k=k, **kwargs)
-        else:
-            with self._index_lock:
-                result = self.index.search(query, k=k, **kwargs)
+        result = self.batcher.search(query, k=k, **kwargs)
         self.cache.put(key, result.ids, result.scores, generation=generation)
         self.telemetry.record_request("search", time.monotonic() - start)
         return self._payload(result.ids, result.scores, k, cached=False)
@@ -239,7 +211,6 @@ class ServingRuntime:
             info["spec"] = str(self.index.spec())
         live = getattr(self.index, "n_live", None)
         info["n_live"] = int(live if live is not None else getattr(self.index, "n", 0))
-        info["coalescing"] = self.batcher is not None
         info["maintenance"] = self.maintenance is not None
         return info
 
@@ -260,8 +231,7 @@ class ServingRuntime:
         # Stop maintenance first so no swap races the draining coalescer.
         if self.maintenance is not None:
             self.maintenance.close()
-        if self.batcher is not None:
-            self.batcher.close()
+        self.batcher.close()
 
     def __enter__(self) -> "ServingRuntime":
         return self
@@ -360,7 +330,7 @@ class _Handler(BaseHTTPRequestHandler):
             body = json.loads(self.rfile.read(int(length)) or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("request body must be a JSON object")
-            self._reply(200, handler(body))
+            payload = handler(body)
         except json.JSONDecodeError:
             self._error(400, "request body is not valid JSON", endpoint)
         except KeyError as exc:
@@ -368,6 +338,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, str(exc.args[0] if exc.args else exc), endpoint)
         except (ValueError, TypeError) as exc:
             self._error(400, str(exc), endpoint)
+        except BatcherClosedError as exc:
+            self._error(503, f"server is shutting down: {exc}", endpoint)
+        except Exception as exc:
+            # The handler thread must still answer: without a reply the
+            # client sees a dropped connection and /stats never counts it.
+            _log.exception("unhandled error serving POST %s", self.path)
+            self._error(500, f"internal server error: {exc!r}", endpoint)
+        else:
+            self._reply(200, payload)
 
     @staticmethod
     def _field(body: dict, name: str):

@@ -56,6 +56,15 @@ class TestValidateQuery:
     def test_flattens_row_vectors(self):
         assert validate_query(np.ones((1, 3)), 3).shape == (3,)
 
+    def test_rejects_overflowing_squared_norm(self):
+        # Finite entries, but every inner product with the vector itself
+        # (or a neighbour along it) would score as infinity.
+        with pytest.raises(ValueError, match="squared norm overflows"):
+            validate_query([1e308, 1e308], 2)
+        with pytest.raises(ValueError, match="squared norm overflows"):
+            validate_queries([[1.0, 2.0], [1e200, 0.0]], 2)
+        assert validate_query([1e150, 1e150], 2)[0] == 1e150
+
 
 class TestValidateId:
     def test_accepts_python_and_numpy_integers(self):

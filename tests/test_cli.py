@@ -187,8 +187,17 @@ class TestServe:
     def test_defaults(self):
         args = build_parser().parse_args(["serve", "--spec", "exact()"])
         assert args.host == "127.0.0.1" and args.port == 8080
-        assert args.max_batch == 32 and args.max_wait_ms == 2.0
-        assert args.cache_size == 1024 and not args.no_coalesce
+        assert args.max_batch == 32 and args.cache_size == 1024
+        assert args.build_seed == 1
+
+    @pytest.mark.parametrize("flag", [
+        ["--max-wait-ms", "2"], ["--no-coalesce"], ["--no-maintenance"],
+        ["--maintenance-poll-ms", "50"],
+    ])
+    def test_removed_runtime_flags_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--spec", "exact()", *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_requires_exactly_one_source(self):
         with pytest.raises(SystemExit):
@@ -204,13 +213,14 @@ class TestServe:
         args = build_parser().parse_args([
             "serve", "--spec", "exact()", "--dataset", "netflix",
             "--n", "300", "--dim", "12", "--cache-size", "8",
-            "--no-coalesce",
+            "--max-batch", "4",
         ])
         runtime = _serve_runtime(args)
         with runtime:
             assert runtime.health()["method"] == "exact"
             assert runtime.cache.capacity == 8
-            assert runtime.batcher is None
+            assert runtime.batcher.max_batch == 4
+            assert runtime.maintenance is None
 
     def test_boots_runtime_from_envelope(self, tmp_path, capsys):
         from repro.cli import _serve_runtime
@@ -225,7 +235,7 @@ class TestServe:
         runtime = _serve_runtime(args)
         with runtime:
             assert runtime.health()["method"] == "simhash"
-            assert runtime.batcher is not None
+            assert runtime.batcher.max_batch == 32
 
     def test_missing_envelope_errors_cleanly(self, tmp_path, capsys):
         rc = main(["serve", "--index", str(tmp_path / "missing.npz")])

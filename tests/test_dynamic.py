@@ -67,6 +67,13 @@ class TestInsert:
         with pytest.raises(ValueError):
             index.insert(np.ones(10))
 
+    def test_insert_rejects_overflowing_norm(self, dyn):
+        data, index = dyn
+        n_live = index.n_live
+        with pytest.raises(ValueError, match="squared norm overflows"):
+            index.insert(np.full(data.shape[1], 1e308))
+        assert index.n_live == n_live
+
 
 class TestDelete:
     def test_deleted_point_never_returned(self, dyn):

@@ -60,14 +60,6 @@ class TestTargetDiscovery:
         with pytest.raises(ValueError, match="no maintainable components"):
             MaintenanceEngine(ExactMIPS(data[:50]))
 
-    def test_poll_interval_clamped_above_busy_spin(self, latent_small):
-        data, _ = latent_small
-        index = DynamicProMIPS(data[:50], SMALL, rng=1)
-        engine = MaintenanceEngine(index, poll_interval_ms=0)
-        assert engine.poll_interval == pytest.approx(1e-3)
-        with pytest.raises(ValueError):
-            MaintenanceEngine(index, poll_interval_ms=-1.0)
-
 
 class TestEngineLifecycle:
     def test_attach_defers_and_close_restores(self, dyn):
@@ -258,7 +250,7 @@ class TestBackgroundThread:
         with lock:
             for i in doomed:
                 index.delete(i)
-        engine = MaintenanceEngine(index, lock, poll_interval_ms=1.0).start()
+        engine = MaintenanceEngine(index, lock).start()
         try:
             stop = threading.Event()
             errors: list[BaseException] = []

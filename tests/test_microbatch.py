@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.serve.microbatch import MicroBatcher
+from repro.serve.microbatch import BatcherClosedError, MicroBatcher
 from repro.serve.telemetry import Telemetry
 from repro.spec import build_index
 
@@ -23,10 +23,45 @@ def exact_setup():
     return index, queries
 
 
+class _GatedLock:
+    """The batcher's index lock, plus an event set once the dispatcher has
+    taken a batch and is waiting for the index.
+
+    A test holds :attr:`lock`, submits one request, and waits on
+    :attr:`dispatcher_waiting`: from then on every submit queues behind
+    that dispatch, so the next take holds exactly what the test submitted.
+    The batching a test asserts then follows from the dispatch rule alone,
+    not from wall-clock timing.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.dispatcher_waiting = threading.Event()
+
+    def __enter__(self):
+        self.dispatcher_waiting.set()
+        self.lock.acquire()
+
+    def __exit__(self, *exc_info):
+        self.lock.release()
+
+
+def _queue_behind_busy_index(batcher, gate, plug, submissions):
+    """Hold the index, occupy the dispatcher with ``plug``, then submit
+    ``(query, k, kwargs)`` triples; returns their futures once the index is
+    released."""
+    with gate.lock:
+        first = batcher.submit(plug, k=1)
+        assert gate.dispatcher_waiting.wait(timeout=10)
+        futures = [batcher.submit(q, k=k, **kw) for q, k, kw in submissions]
+    assert len(first.result(timeout=10)) == 1
+    return futures
+
+
 class TestCoalescedCorrectness:
     def test_concurrent_submits_match_direct_search(self, exact_setup):
         index, queries = exact_setup
-        with MicroBatcher(index, max_batch=16, max_wait_ms=5.0) as batcher:
+        with MicroBatcher(index, max_batch=16) as batcher:
             with ThreadPoolExecutor(max_workers=16) as pool:
                 futures = list(
                     pool.map(lambda q: batcher.submit(q, k=5), queries[:16])
@@ -40,49 +75,64 @@ class TestCoalescedCorrectness:
     def test_requests_actually_coalesce(self, exact_setup):
         index, queries = exact_setup
         telemetry = Telemetry()
-        # A long tick plus a burst larger than one GEMV guarantees occupancy.
+        gate = _GatedLock()
         with MicroBatcher(
-            index, max_batch=32, max_wait_ms=200.0, telemetry=telemetry
+            index, max_batch=32, index_lock=gate, telemetry=telemetry
         ) as batcher:
-            futures = [batcher.submit(q, k=3) for q in queries[:12]]
-            for future in futures:
-                future.result(timeout=10)
-        batch = telemetry.snapshot()["batch"]
-        assert batch["dispatches"] < 12  # strictly fewer dispatches than requests
-        assert batch["mean_occupancy"] > 1.0
-        occupancies = [r.result().stats.extras["coalesced"] for r in futures]
-        assert max(occupancies) > 1
+            futures = _queue_behind_busy_index(
+                batcher, gate, queries[0], [(q, 3, {}) for q in queries[1:13]]
+            )
+            for q, future in zip(queries[1:13], futures):
+                served = future.result(timeout=10)
+                assert served.stats.extras["coalesced"] == 12
+                direct = index.search(q, k=3)
+                np.testing.assert_array_equal(served.ids, direct.ids)
+                np.testing.assert_array_equal(served.scores, direct.scores)
+        # The plug dispatched alone; all 12 that queued behind it, as one.
+        assert telemetry.snapshot()["batch"]["histogram"] == {"1": 1, "12": 1}
 
     def test_max_batch_bounds_occupancy(self, exact_setup):
         index, queries = exact_setup
         telemetry = Telemetry()
+        gate = _GatedLock()
         with MicroBatcher(
-            index, max_batch=4, max_wait_ms=200.0, telemetry=telemetry
+            index, max_batch=4, index_lock=gate, telemetry=telemetry
         ) as batcher:
-            futures = [batcher.submit(q, k=2) for q in queries[:10]]
-            for future in futures:
-                future.result(timeout=10)
-        histogram = telemetry.snapshot()["batch"]["histogram"]
-        assert all(int(size) <= 4 for size in histogram)
+            futures = _queue_behind_busy_index(
+                batcher, gate, queries[0], [(q, 2, {}) for q in queries[1:11]]
+            )
+            occupancies = [f.result(timeout=10).stats.extras["coalesced"]
+                           for f in futures]
+        # Ten queued requests drain in arrival order as takes of 4, 4, 2.
+        assert occupancies == [4] * 8 + [2] * 2
+        assert telemetry.snapshot()["batch"]["histogram"] == {
+            "1": 1, "4": 2, "2": 1,
+        }
 
     def test_per_request_k_trimmed_from_max(self, exact_setup):
         index, queries = exact_setup
-        with MicroBatcher(index, max_batch=8, max_wait_ms=200.0) as batcher:
-            small = batcher.submit(queries[0], k=2)
-            large = batcher.submit(queries[1], k=9)
+        gate = _GatedLock()
+        with MicroBatcher(index, max_batch=8, index_lock=gate) as batcher:
+            small, large = _queue_behind_busy_index(
+                batcher, gate, queries[2],
+                [(queries[0], 2, {}), (queries[1], 9, {})],
+            )
             small_result = small.result(timeout=10)
             large_result = large.result(timeout=10)
         assert len(small_result) == 2
         assert len(large_result) == 9
-        # Each k is answered by its own batch, exactly as search answers it.
+        # One take, but each k is answered by its own batch, exactly as
+        # search answers it.
+        assert small_result.stats.extras["coalesced"] == 1
+        assert large_result.stats.extras["coalesced"] == 1
         direct = index.search(queries[0], k=2)
         np.testing.assert_array_equal(small_result.ids, direct.ids)
         np.testing.assert_array_equal(small_result.scores, direct.scores)
 
     def test_mixed_k_answers_match_direct_search(self):
         # ProMIPS' stopping conditions test the k-th best score, so its
-        # top-1 is not the head of its top-10.  A k=1 request sharing a tick
-        # with a k=10 request must still get what search(q, k=1) returns.
+        # top-1 is not the head of its top-10.  A k=1 request taken with a
+        # k=10 request must still get what search(q, k=1) returns.
         from repro.data.datasets import load_dataset
 
         dataset = load_dataset("yahoo", n=1000, dim=32, n_queries=1, seed=3)
@@ -90,9 +140,11 @@ class TestCoalescedCorrectness:
         q = dataset.queries[0]
         direct_1, direct_10 = index.search(q, k=1), index.search(q, k=10)
         assert direct_10.ids[0] != direct_1.ids[0]  # the case under test
-        with MicroBatcher(index, max_batch=8, max_wait_ms=200.0) as batcher:
-            large = batcher.submit(q, k=10)
-            small = batcher.submit(q, k=1)
+        gate = _GatedLock()
+        with MicroBatcher(index, max_batch=8, index_lock=gate) as batcher:
+            large, small = _queue_behind_busy_index(
+                batcher, gate, q, [(q, 10, {}), (q, 1, {})]
+            )
             small_result = small.result(timeout=10)
             large_result = large.result(timeout=10)
         np.testing.assert_array_equal(small_result.ids, direct_1.ids)
@@ -107,11 +159,15 @@ class TestCoalescedCorrectness:
             "promips(c=0.85, p=0.6, m=4, kp=2, n_key=6, ksp=3)", data, rng=5
         )
         q = gen.standard_normal(10)
-        with MicroBatcher(index, max_batch=8, max_wait_ms=200.0) as batcher:
-            plain = batcher.submit(q, k=3)
-            override = batcher.submit(q, k=3, c=0.5)
+        gate = _GatedLock()
+        with MicroBatcher(index, max_batch=8, index_lock=gate) as batcher:
+            plain, override = _queue_behind_busy_index(
+                batcher, gate, q, [(q, 3, {}), (q, 3, {"c": 0.5})]
+            )
             plain_result = plain.result(timeout=10)
             override_result = override.result(timeout=10)
+        assert plain_result.stats.extras["coalesced"] == 1
+        assert override_result.stats.extras["coalesced"] == 1
         np.testing.assert_array_equal(
             plain_result.ids, index.search(q, k=3).ids
         )
@@ -119,14 +175,17 @@ class TestCoalescedCorrectness:
             override_result.ids, index.search(q, k=3, c=0.5).ids
         )
 
-    def test_works_for_every_tick_size(self, exact_setup):
+    def test_lone_requests_dispatch_alone(self, exact_setup):
         index, queries = exact_setup
-        # max_wait_ms=0: each request dispatches as soon as the dispatcher
-        # sees it — results must still be exact.
-        with MicroBatcher(index, max_batch=8, max_wait_ms=0.0) as batcher:
+        telemetry = Telemetry()
+        # Sequential requests never wait for company: each one reaches an
+        # idle index and dispatches at once as a batch of one.
+        with MicroBatcher(index, max_batch=8, telemetry=telemetry) as batcher:
             for q in queries[:5]:
                 served = batcher.search(q, k=4)
+                assert served.stats.extras["coalesced"] == 1
                 np.testing.assert_array_equal(served.ids, index.search(q, k=4).ids)
+        assert telemetry.snapshot()["batch"]["histogram"] == {"1": 5}
 
 
 class TestValidation:
@@ -142,7 +201,7 @@ class TestValidation:
 
     def test_bad_request_never_poisons_neighbours(self, exact_setup):
         index, queries = exact_setup
-        with MicroBatcher(index, max_batch=8, max_wait_ms=100.0) as batcher:
+        with MicroBatcher(index, max_batch=8) as batcher:
             good = batcher.submit(queries[0], k=3)
             with pytest.raises(ValueError):
                 batcher.submit(np.ones(5), k=3)  # wrong dim, rejected at submit
@@ -151,17 +210,15 @@ class TestValidation:
 
     def test_rejects_bad_config(self, exact_setup):
         index, _ = exact_setup
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_batch"):
             MicroBatcher(index, max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(index, max_wait_ms=-1.0)
 
     def test_unhashable_kwargs_rejected_at_submit(self, exact_setup):
         # The dispatcher groups requests by a hashed kwargs key; an
         # unhashable value must fail in the caller's thread, not kill the
         # dispatcher (which would hang every later request forever).
         index, queries = exact_setup
-        with MicroBatcher(index, max_wait_ms=1.0) as batcher:
+        with MicroBatcher(index) as batcher:
             with pytest.raises(ValueError, match="hashable"):
                 batcher.submit(queries[0], k=2, c=[0.8, 0.9])
             # The batcher is still alive and serving.
@@ -171,24 +228,31 @@ class TestValidation:
 class TestLifecycle:
     def test_close_is_idempotent_and_rejects_submits(self, exact_setup):
         index, queries = exact_setup
-        batcher = MicroBatcher(index, max_wait_ms=1.0)
+        batcher = MicroBatcher(index)
         batcher.search(queries[0], k=1)
         batcher.close()
         batcher.close()
-        with pytest.raises(RuntimeError, match="closed"):
+        with pytest.raises(BatcherClosedError, match="closed"):
             batcher.submit(queries[0], k=1)
 
     def test_pending_requests_answered_on_close(self, exact_setup):
         index, queries = exact_setup
-        batcher = MicroBatcher(index, max_batch=64, max_wait_ms=10_000.0)
-        futures = [batcher.submit(q, k=2) for q in queries[:4]]
-        # The tick would hold for 10s waiting for company; close() must
-        # flush the queue instead of abandoning it.
-        start = time.monotonic()
-        batcher.close()
-        for future in futures:
+        gate = _GatedLock()
+        batcher = MicroBatcher(index, max_batch=64, index_lock=gate)
+        with gate.lock:
+            first = batcher.submit(queries[0], k=2)
+            assert gate.dispatcher_waiting.wait(timeout=10)
+            queued = [batcher.submit(q, k=2) for q in queries[1:5]]
+            # close() while the index is busy and four requests are queued
+            # behind it: it must flush the queue, not abandon it.
+            closer = threading.Thread(target=batcher.close)
+            closer.start()
+            closer.join(timeout=0.1)
+            assert closer.is_alive()  # waiting on the busy dispatcher
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+        for future in [first, *queued]:
             assert len(future.result(timeout=1)) == 2
-        assert time.monotonic() - start < 5.0
 
     def test_dispatch_errors_propagate_to_waiters(self, exact_setup):
         _, queries = exact_setup
@@ -199,7 +263,7 @@ class TestLifecycle:
             def search_many(self, queries, k=1, **kwargs):
                 raise RuntimeError("storage offline")
 
-        with MicroBatcher(Exploding(), max_batch=4, max_wait_ms=50.0) as batcher:
+        with MicroBatcher(Exploding(), max_batch=4) as batcher:
             futures = [batcher.submit(q, k=1) for q in queries[:3]]
             for future in futures:
                 with pytest.raises(RuntimeError, match="storage offline"):
@@ -223,7 +287,7 @@ class TestLifecycle:
                 return index.search_many(batch_queries, k=k, **kwargs)
 
         flaky = Flaky()
-        with MicroBatcher(flaky, max_batch=4, max_wait_ms=10.0) as batcher:
+        with MicroBatcher(flaky, max_batch=4) as batcher:
             with pytest.raises(TypeError):
                 batcher.search(queries[0], k=2)
             flaky.bad = False
@@ -235,7 +299,7 @@ class TestLifecycle:
     def test_shared_index_lock_is_honoured(self, exact_setup):
         index, queries = exact_setup
         lock = threading.Lock()
-        with MicroBatcher(index, max_wait_ms=0.0, index_lock=lock) as batcher:
+        with MicroBatcher(index, index_lock=lock) as batcher:
             with lock:
                 future = batcher.submit(queries[0], k=1)
                 time.sleep(0.05)

@@ -173,7 +173,7 @@ class TestServedInvalidation:
         gen = np.random.default_rng(11)
         data = gen.standard_normal((60, 8))
         index = build_index(spec, data, rng=5)
-        return ServingRuntime(index, coalesce=False, cache_size=32), data
+        return ServingRuntime(index, cache_size=32), data
 
     def test_insert_invalidates_stale_top1(self, spec):
         runtime, data = self._runtime(spec)

@@ -138,3 +138,12 @@ class TestAdversarialQueries:
         for name, index in indexes.items():
             with pytest.raises(ValueError):
                 index.search(bad, k=1)
+
+    def test_overflowing_norm_query_rejected_everywhere(self, world):
+        data, indexes = world
+        huge = np.full(data.shape[1], 1e308)
+        for name, index in indexes.items():
+            with pytest.raises(ValueError, match="squared norm overflows"):
+                index.search(huge, k=1)
+            with pytest.raises(ValueError, match="squared norm overflows"):
+                index.search_many(np.stack([data[0], huge]), k=1)

@@ -99,7 +99,7 @@ class TestServedParity:
 
     def test_cold_warm_and_coalesced(self, serve, method):
         index, data, queries = _build(method)
-        client = serve(ServingRuntime(index, max_wait_ms=5.0, cache_size=64))
+        client = serve(ServingRuntime(index, cache_size=64))
         k = 5
         direct = {i: index.search(q, k=k) for i, q in enumerate(queries)}
 
@@ -117,8 +117,9 @@ class TestServedParity:
             assert served["ids"] == direct[i].ids.tolist()
             assert served["scores"] == direct[i].scores.tolist()
 
-        # Coalesced: concurrent cold queries (fresh cache) share ticks.
-        runtime = ServingRuntime(index, max_wait_ms=20.0, cache_size=0)
+        # Coalesced: concurrent cold queries (fresh cache) batch together
+        # whenever they queue behind a busy index.
+        runtime = ServingRuntime(index, cache_size=0)
         concurrent = serve(runtime)
         with ThreadPoolExecutor(max_workers=len(queries)) as pool:
             answers = list(pool.map(
@@ -153,7 +154,7 @@ class TestEnvelopeBoot:
     def test_served_from_envelope_matches_builder(self, serve, tmp_path, method):
         index, data, queries = _build(method)
         path = save_index(index, tmp_path / "idx.npz")
-        runtime = build_runtime(index_path=path, max_wait_ms=1.0)
+        runtime = build_runtime(index_path=path)
         client = serve(runtime)
         for q in queries[:4]:
             code, served = client.post("/search", {"query": q.tolist(), "k": 3})
@@ -177,7 +178,7 @@ class TestMutationEndpoints:
         gen = np.random.default_rng(13)
         data = gen.standard_normal((50, DIM))
         index = build_index(spec, data, rng=5)
-        return serve(ServingRuntime(index, max_wait_ms=1.0)), data
+        return serve(ServingRuntime(index)), data
 
     def test_insert_visible_and_cache_invalidated(self, serve):
         client, data = self._dynamic_client(serve)
@@ -240,6 +241,24 @@ class TestMutationEndpoints:
         assert served["ids"] == [inserted["id"]]
 
 
+    @pytest.mark.parametrize(
+        "spec", [EDGE_SPECS["dynamic"], "sharded(inner='dynamic()', shards=2)"]
+    )
+    def test_overflowing_norm_rejected(self, serve, spec):
+        # Finite entries whose squared norm overflows would score Infinity
+        # (not valid JSON) on every later search if the insert were taken.
+        client, _ = self._dynamic_client(serve, spec=spec)
+        huge = [1e308] * DIM
+        n_live = client.get("/healthz")[1]["n_live"]
+        code, payload = client.post("/insert", {"vector": huge})
+        assert code == 400 and "squared norm overflows" in payload["error"]
+        assert client.get("/healthz")[1]["n_live"] == n_live
+        for path, body in (("/search", {"query": huge}),
+                           ("/search_batch", {"queries": [huge]})):
+            code, payload = client.post(path, body)
+            assert code == 400 and "squared norm overflows" in payload["error"]
+
+
 class TestBackgroundMaintenance:
     """Serving + the background maintenance engine: rebuilds happen off the
     request path, deleted ids never resurface, and /stats reports them."""
@@ -270,7 +289,7 @@ class TestBackgroundMaintenance:
         gen = np.random.default_rng(21)
         data = gen.standard_normal((80, DIM))
         index = build_index(self.MAINT_SPEC, data, rng=5)
-        runtime = ServingRuntime(index, max_wait_ms=1.0, maintenance_poll_ms=1.0)
+        runtime = ServingRuntime(index)
         client = serve(runtime)
         q = data[0].tolist()
         code, cold = client.post("/search", {"query": q, "k": 20})
@@ -310,7 +329,7 @@ class TestBackgroundMaintenance:
             "rebuild_threshold=0.1)', shards=3)"
         )
         index = build_index(spec, data, rng=5)
-        runtime = ServingRuntime(index, max_wait_ms=1.0, maintenance_poll_ms=1.0)
+        runtime = ServingRuntime(index)
         client = serve(runtime)
         assert runtime.maintenance is not None
         assert runtime.maintenance.stats()["targets"] == 3
@@ -339,25 +358,6 @@ class TestBackgroundMaintenance:
             t.name == "repro-maintenance" for t in threading.enumerate()
         )
 
-    def test_maintenance_disabled_falls_back_to_synchronous(self, serve):
-        gen = np.random.default_rng(23)
-        data = gen.standard_normal((60, DIM))
-        index = build_index(self.MAINT_SPEC, data, rng=5)
-        runtime = ServingRuntime(index, maintenance=False)
-        client = serve(runtime)
-        assert runtime.maintenance is None
-        assert index.defer_maintenance is False
-        for point_id in range(8):  # 8 > 0.1 * 60: compacts inside /delete
-            code, _ = client.post("/delete", {"id": point_id})
-            assert code == 200
-        assert index.rebuilds >= 1
-        assert index.tombstone_count <= 0.1 * index.indexed_points
-        code, served = client.post(
-            "/search", {"query": data[20].tolist(), "k": 10}
-        )
-        assert code == 200
-        assert not set(served["ids"]) & set(range(8))
-
 
 class TestInspectionEndpoints:
     def test_healthz(self, serve):
@@ -368,11 +368,10 @@ class TestInspectionEndpoints:
         assert health["status"] == "ok"
         assert health["method"] == "promips"
         assert health["dim"] == DIM and health["n_live"] == 80
-        assert health["coalescing"] is True
 
     def test_stats_reflect_traffic(self, serve):
         index, data, queries = _build("exact")
-        client = serve(ServingRuntime(index, max_wait_ms=1.0))
+        client = serve(ServingRuntime(index))
         q = queries[0].tolist()
         client.post("/search", {"query": q, "k": 2})
         client.post("/search", {"query": q, "k": 2})
@@ -388,7 +387,7 @@ class TestInspectionEndpoints:
 
     def test_search_params_forwarded(self, serve):
         index, data, queries = _build("promips")
-        client = serve(ServingRuntime(index, max_wait_ms=1.0, cache_size=0))
+        client = serve(ServingRuntime(index, cache_size=0))
         q = queries[0]
         code, served = client.post(
             "/search", {"query": q.tolist(), "k": 3, "params": {"c": 0.5}}
@@ -468,11 +467,58 @@ class TestHTTPErrors:
         assert stats["errors_by_endpoint"]["search"] >= 1
 
 
+class TestServerFailures:
+    """Failures that are not the client's fault still get a JSON reply."""
+
+    class _FailingIndex:
+        """Stand-in whose storage goes offline while ``failing`` is set."""
+
+        def __init__(self, index):
+            self.inner = index
+            self.dim = index.dim
+            self.n = index.n
+            self.failing = True
+
+        def search_many(self, queries, k=1, **kwargs):
+            if self.failing:
+                raise RuntimeError("storage offline")
+            return self.inner.search_many(queries, k=k, **kwargs)
+
+    def test_unexpected_exception_is_a_500(self, serve):
+        index, _, queries = _build("exact")
+        failing = self._FailingIndex(index)
+        client = serve(ServingRuntime(failing, cache_size=0))
+        q = queries[0].tolist()
+        for path, body in (("/search", {"query": q, "k": 2}),
+                           ("/search_batch", {"queries": [q], "k": 2})):
+            code, payload = client.post(path, body)
+            assert code == 500 and "storage offline" in payload["error"]
+        code, stats = client.get("/stats")
+        assert stats["errors_by_endpoint"] == {"search": 1, "search_batch": 1}
+        # The same server keeps answering once storage is back.
+        failing.failing = False
+        code, served = client.post("/search", {"query": q, "k": 2})
+        assert code == 200
+        assert served["ids"] == index.search(queries[0], k=2).ids.tolist()
+
+    def test_closed_runtime_is_a_503(self, serve):
+        index, _, queries = _build("exact")
+        runtime = ServingRuntime(index)
+        client = serve(runtime)
+        runtime.close()
+        code, payload = client.post(
+            "/search", {"query": queries[0].tolist(), "k": 2}
+        )
+        assert code == 503 and "closed" in payload["error"]
+        code, stats = client.get("/stats")
+        assert stats["errors_by_endpoint"] == {"search": 1}
+
+
 class TestIntegralFloatK:
     def test_json_float_k_accepted(self, serve):
         # JSON clients routinely produce 5.0; validate_k normalises it.
         index, _, queries = _build("exact")
-        client = serve(ServingRuntime(index, max_wait_ms=1.0))
+        client = serve(ServingRuntime(index))
         code, served = client.post(
             "/search", {"query": queries[0].tolist(), "k": 5.0}
         )
