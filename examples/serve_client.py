@@ -168,7 +168,7 @@ def main() -> int:
            and stats["cache"]["hits"] >= 1,
            f"/stats: {stats['requests_total']} requests, "
            f"cache hit rate {stats['cache']['hit_rate']:.2f}, "
-           f"search p50 {stats['latency']['p50_ms']:.2f}ms")
+           f"search p50 {stats['latency']['search']['p50_ms']:.2f}ms")
 
     if server is not None:
         server.shutdown()

@@ -69,7 +69,7 @@ from repro.spec import (
     registered_methods,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "MIPSIndex",

@@ -75,8 +75,7 @@ def search_batch(
         index: any MIPS index (ProMIPS or a baseline).
         queries: ``(n_q, d)`` array (one ``(d,)`` query is promoted).
         k: results per query.
-        **search_kwargs: forwarded to the index (e.g. ProMIPS ``c=0.8``, or
-            a sharded index's ``n_threads``).
+        **search_kwargs: forwarded to the index (e.g. ProMIPS ``c=0.8``).
 
     Returns:
         The per-query results plus aggregated :class:`BatchStats`.

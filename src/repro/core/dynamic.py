@@ -12,19 +12,22 @@ supplies the standard engineering answer for a bulk-loaded structure:
 * a **compaction** re-bulk-loads the index over the live points only,
   clears the tombstone set, and reclaims the storage of dead rows — so
   the candidate over-fetch that absorbs tombstones (``k + #tombstones``)
-  returns to ``k`` and the vector buffer shrinks back to the live set.
+  returns to ``k`` and the delta buffer empties.
   Compaction triggers on *either* pressure source: delta size
   (``rebuild_threshold``, checked on insert) or tombstone ratio
   (``compact_threshold``, checked on delete) — a delete-only workload
   compacts just like an insert-only one.
 
-**Row layout.**  All vectors live in one growable 2-D buffer with
-amortised-O(1) appends, and every id table is a flat ``int64`` array:
+**Row layout.**  Every point has a row, every id table is a flat ``int64``
+array, and every vector is held exactly once:
 
-* buffer rows ``[0, n_indexed)`` hold the current generation in
-  inner-index order, so a row number *is* the inner index's point id;
-* rows ``[n_indexed, n_rows)`` hold the inserts since that generation, in
+* rows ``[0, n_indexed)`` are the current generation in inner-index order,
+  so a row number *is* the inner index's point id; their vectors are the
+  generation's own data, held by the inner index and nowhere else;
+* rows ``[n_indexed, n_rows)`` are the inserts since that generation, in
   id order (deleted ones stay as dead rows until the next compaction);
+  row ``r``'s vector is ``_delta_buf[r - n_indexed]``, a growable buffer
+  with amortised-O(1) appends that holds only inserts;
 * ``_external_of[row]`` is the external id stored in a row and
   ``_row_of[id]`` the row holding an id, ``-1`` meaning gone;
 * ``_tombstone_mask[row]`` marks deleted rows of the current generation.
@@ -43,13 +46,15 @@ concurrent query for the whole build.  The **generational protocol**
 (:mod:`repro.core.maintenance`) splits it into three phases so an engine can
 run the expensive part off the lock::
 
-    ticket = index.begin_rebuild()           # under lock: O(live) snapshot
-    staged = index.build_generation(ticket)  # off lock: the bulk load
-    index.commit_rebuild(ticket, staged)     # under lock: swap + replay drift
+    ticket = index.begin_rebuild()          # under lock: O(live) snapshot
+    built = index.build_generation(ticket)  # off lock: the bulk load
+    index.commit_rebuild(ticket, built)     # under lock: swap + replay drift
 
-Mutations that land between ``begin`` and ``commit`` are *replayed* into
-the new generation at commit time: inserts become its delta buffer,
-deletes of snapshotted points become its (only) tombstones.  Setting
+The snapshot becomes the new generation's data as it is, so a rebuild
+never leaves a second copy of the indexed vectors behind.  Mutations that
+land between ``begin`` and ``commit`` are *replayed* into the new
+generation at commit time: inserts become its delta buffer, deletes of
+snapshotted points become its (only) tombstones.  Setting
 ``defer_maintenance = True`` (the engine does this on attach) turns the
 synchronous trigger off so mutations stay O(1).
 
@@ -66,7 +71,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from repro.api import (
     BatchResult,
@@ -87,24 +92,7 @@ from repro.core.promips import ProMIPS, ProMIPSParams
 from repro.core.rng import generator_state, resolve_rng, restore_generator
 from repro.spec import IndexSpec, register_method
 
-__all__ = ["DynamicProMIPS", "StagedGeneration"]
-
-
-@dataclass(frozen=True)
-class StagedGeneration:
-    """The next generation, prepared off the lock by
-    :meth:`DynamicProMIPS.build_generation` for
-    :meth:`DynamicProMIPS.commit_rebuild`.
-
-    Attributes:
-        index: the inner :class:`ProMIPS` bulk-loaded over the snapshot.
-        buffer: the new vector buffer — snapshot rows already in place (row
-            ``i`` holds the snapshot's ``i``-th id, which is also its inner
-            id), spare rows for the inserts that land during the build.
-    """
-
-    index: ProMIPS
-    buffer: np.ndarray
+__all__ = ["DynamicProMIPS"]
 
 
 def _grown(array: np.ndarray, used: int) -> np.ndarray:
@@ -154,11 +142,15 @@ class DynamicProMIPS:
         self.dim = index.dim
         n = index.n
         # Stable external ids: indexed points get 0..n-1; inserts continue.
-        # The initial buffer is `data` itself and full, so the first insert
-        # copies into grown private storage and never mutates `data`.
+        # Inserts go to a delta buffer of their own, so `data` (which the
+        # inner index holds as its data) is never written.
         ids = np.arange(n, dtype=np.int64)
         self._install_generation(
-            index, data, n, ids, ids.copy(), np.zeros(n, dtype=bool)
+            index,
+            np.empty((0, self.dim), dtype=np.float64),
+            ids,
+            ids.copy(),
+            np.zeros(n, dtype=bool),
         )
         self._next_id = n
         self.rebuilds = 0
@@ -171,27 +163,27 @@ class DynamicProMIPS:
     def _install_generation(
         self,
         index: ProMIPS,
-        buffer: np.ndarray,
-        n_rows: int,
+        delta: np.ndarray,
         external_of: np.ndarray,
         row_of: np.ndarray,
         tombstone_mask: np.ndarray,
     ) -> None:
         """Point the search path at a (new) generation laid out as the
-        module docstring describes: ``buffer[:index.n]`` is the generation
-        in inner-index order, ``external_of`` has at least ``n_rows``
-        entries, and ``tombstone_mask`` has one per indexed row.
+        module docstring describes: ``index`` holds the generation's
+        vectors in inner-index order, ``delta`` the live inserts since it
+        in id order (its rows are all used), ``external_of`` has one entry
+        per row and ``tombstone_mask`` one per indexed row.
 
         The two counters keep ``insert``/``delete`` free of whole-array
         passes: under serving, every numpy call that releases the GIL can
         park a mutation behind a concurrent search."""
         self._index = index
-        self._vec_buf = buffer
-        self._n_rows = n_rows
+        self._delta_buf = delta
+        self._n_rows = index.n + delta.shape[0]
         self._external_of = external_of
         self._row_of = row_of
         self._tombstone_mask = tombstone_mask
-        self._n_delta = n_rows - index.n  # a new generation's delta is all live
+        self._n_delta = delta.shape[0]  # a new generation's delta is all live
         self._n_tombstones = int(np.count_nonzero(tombstone_mask))
 
     # ------------------------------------------------------- registry contract
@@ -236,29 +228,28 @@ class DynamicProMIPS:
         rebuild generator.  Every id array is ascending (the row layout's
         invariant), so each is one mask of ``_external_of``.
 
-        The inner index's data array is NOT stored — its rows are exactly
-        the buffer rows of ``indexed_external``, so :meth:`from_state`
-        reconstructs it instead of doubling the file's dominant payload."""
-        inner = {
-            f"promips_{k}": v
-            for k, v in self._index.state().items()
-            if k != "data"
-        }
+        The inner index's data array is NOT stored separately — it is the
+        leading ``indexed_external`` rows of ``vectors``, so
+        :meth:`from_state` hands those rows back to the inner index instead
+        of doubling the file's dominant payload."""
+        inner = {f"promips_{k}": v for k, v in self._index.state().items()}
+        indexed = inner.pop("promips_data")
         n_indexed = self._index.n
-        external = self._external_of[: self._n_rows]
-        rows = np.flatnonzero(external >= 0)
-        if rows.size == self._n_rows:
-            vectors = self._vec_buf[: self._n_rows]  # view; savez copies
+        slots = self._delta_slots()
+        delta_ids = self._external_of[n_indexed + slots]
+        if slots.size:
+            vectors = np.concatenate([indexed, self._delta_buf[slots]])
         else:
-            vectors = self._vec_buf[rows]
+            vectors = indexed  # savez copies
+        indexed_external = self._external_of[:n_indexed].copy()
         return {
             **inner,
             "inner_m": np.array([self._index.params.m], dtype=np.int64),
             "vectors": vectors,
-            "row_external": external[rows],
-            "tombstones": external[:n_indexed][self._tombstone_mask],
-            "delta_ids": self._external_of[self._delta_rows()],
-            "indexed_external": external[:n_indexed].copy(),
+            "row_external": np.concatenate([indexed_external, delta_ids]),
+            "tombstones": indexed_external[self._tombstone_mask],
+            "delta_ids": delta_ids,
+            "indexed_external": indexed_external,
             "next_id": np.array([self._next_id], dtype=np.int64),
             "rebuilds": np.array([self.rebuilds], dtype=np.int64),
             "reclaimed_bytes": np.array([self.reclaimed_bytes], dtype=np.int64),
@@ -298,8 +289,9 @@ class DynamicProMIPS:
         n_indexed = indexed_external.size
         # The row layout: the generation in inner-index order, then the
         # delta in id order.  `vectors` is ascending by id, which for every
-        # current envelope is already exactly this layout (no copy); pre-1.5
-        # files also stored deleted delta points, which the gather drops.
+        # current envelope is already exactly this layout, so the generation
+        # and the delta are two views of it (no copy); pre-1.5 files also
+        # stored deleted delta points, which the gathers drop.
         external_of = np.concatenate(
             [indexed_external, np.asarray(state["delta_ids"], dtype=np.int64)]
         )
@@ -307,9 +299,10 @@ class DynamicProMIPS:
         if positions.size == vectors.shape[0] and np.array_equal(
             positions, np.arange(positions.size)
         ):
-            buffer = vectors
+            indexed, delta = vectors[:n_indexed], vectors[n_indexed:]
         else:
-            buffer = vectors[positions]
+            indexed = vectors[positions[:n_indexed]]
+            delta = vectors[positions[n_indexed:]]
         n_rows = external_of.size
         row_of = np.full(next_id, -1, dtype=np.int64)
         row_of[external_of] = np.arange(n_rows)
@@ -324,7 +317,7 @@ class DynamicProMIPS:
             for k, v in state.items()
             if k.startswith("promips_")
         }
-        inner_state["data"] = buffer[:n_indexed].copy()
+        inner_state["data"] = indexed
         inner = ProMIPS.from_state(inner_spec, inner_state)
 
         self = cls.__new__(cls)
@@ -338,7 +331,7 @@ class DynamicProMIPS:
         self.compact_threshold = float(spec.params.get("compact_threshold", 0.25))
         self.dim = inner.dim
         self._install_generation(
-            inner, buffer, n_rows, external_of, row_of, tombstone_mask
+            inner, delta, external_of, row_of, tombstone_mask
         )
         self._next_id = next_id
         self.rebuilds = int(state["rebuilds"][0])
@@ -349,15 +342,14 @@ class DynamicProMIPS:
 
     # ------------------------------------------------------------- mutation
 
-    def _delta_rows(self) -> np.ndarray:
-        """Buffer rows of the live delta points, ascending (= id order)."""
+    def _delta_slots(self) -> np.ndarray:
+        """Delta-buffer positions of the live inserts, ascending (= id
+        order); slot ``s`` is row ``n_indexed + s``."""
         n_indexed = self._index.n
-        return n_indexed + np.flatnonzero(
-            self._external_of[n_indexed : self._n_rows] >= 0
-        )
+        return np.flatnonzero(self._external_of[n_indexed : self._n_rows] >= 0)
 
     def _live_rows(self) -> np.ndarray:
-        """Buffer rows of every live point, ascending (= id order)."""
+        """Rows of every live point, ascending (= id order)."""
         live = self._external_of[: self._n_rows] >= 0
         live[: self._index.n] &= ~self._tombstone_mask
         return np.flatnonzero(live)
@@ -383,7 +375,9 @@ class DynamicProMIPS:
 
     @property
     def buffer_rows(self) -> int:
-        """Rows held in the vector buffer (live + dead, pre-compaction)."""
+        """Rows in the row layout: the generation's points (live and
+        tombstoned) plus every insert since it (live and deleted) — what a
+        compaction shrinks back to the live set."""
         return self._n_rows
 
     def insert(self, vector: np.ndarray) -> int:
@@ -391,13 +385,14 @@ class DynamicProMIPS:
         vector = validate_query(vector, self.dim)
         ext_id = self._next_id
         row = self._n_rows
-        if row == self._vec_buf.shape[0]:
-            self._vec_buf = _grown(self._vec_buf, row)
+        slot = row - self._index.n
+        if slot == self._delta_buf.shape[0]:
+            self._delta_buf = _grown(self._delta_buf, slot)
         if row == self._external_of.size:
             self._external_of = _grown(self._external_of, row)
         if ext_id == self._row_of.size:
             self._row_of = _grown(self._row_of, ext_id)
-        self._vec_buf[row] = vector
+        self._delta_buf[slot] = vector
         self._external_of[row] = ext_id
         self._row_of[ext_id] = row
         self._n_rows += 1
@@ -456,7 +451,8 @@ class DynamicProMIPS:
 
     def begin_rebuild(self) -> RebuildTicket:
         """Snapshot the live set for a new generation (cheap; under lock:
-        one mask over the id array and one row gather).
+        one mask over the id array and one gather from the generation's
+        data and the delta buffer into the snapshot).
 
         Raises:
             RuntimeError: a rebuild is already in flight — generations are
@@ -467,9 +463,22 @@ class DynamicProMIPS:
         self._rebuild_in_progress = True
         try:
             rows = self._live_rows()
+            n_indexed = self._index.n
+            split = int(np.searchsorted(rows, n_indexed))
+            vectors = np.empty((rows.size, self.dim), dtype=np.float64)
+            # mode="clip" writes straight into `out` (the default "raise"
+            # gathers into a temporary first); every row is in range.
+            np.take(
+                self._index.state()["data"], rows[:split], axis=0,
+                out=vectors[:split], mode="clip",
+            )
+            np.take(
+                self._delta_buf, rows[split:] - n_indexed, axis=0,
+                out=vectors[split:], mode="clip",
+            )
             return RebuildTicket(
                 live_ids=self._external_of[rows],
-                vectors=self._vec_buf[rows],  # fancy index: independent copy
+                vectors=vectors,
                 next_id=self._next_id,
             )
         except BaseException:
@@ -478,37 +487,22 @@ class DynamicProMIPS:
             self._rebuild_in_progress = False
             raise
 
-    def build_generation(self, ticket: RebuildTicket) -> StagedGeneration:
-        """Bulk-load the next generation (expensive; run OFF the lock).
-
-        Also stages the new generation's vector buffer — snapshot rows
-        already copied in, spare capacity for the drift accumulating while
-        we build — so the commit's lock-held phase is O(drift) row copies
-        plus array passes over the ids, not an O(live × d) memcpy stalling
-        every query behind the lock.
+    def build_generation(self, ticket: RebuildTicket) -> ProMIPS:
+        """Bulk-load the next generation over the snapshot (expensive; run
+        OFF the lock).  The built index keeps ``ticket.vectors`` as its
+        data, so the snapshot is the generation's one copy of its vectors.
         """
-        built = ProMIPS.build(ticket.vectors, self.params, rng=self._rng)
-        n_indexed = ticket.live_ids.size
-        # _next_id is a plain int, safe to read without the lock: an upper
-        # bound on inserts that have landed since the snapshot.  Double it
-        # (more can land before commit) plus slack; drift beyond the staged
-        # capacity falls back to one allocation at commit.
-        drift_hint = max(0, self._next_id - ticket.next_id)
-        capacity = n_indexed + min(2 * drift_hint + 8, max(64, n_indexed))
-        buffer = np.empty((max(8, capacity), self.dim), dtype=np.float64)
-        buffer[:n_indexed] = ticket.vectors
-        return StagedGeneration(built, buffer)
+        return ProMIPS.build(ticket.vectors, self.params, rng=self._rng)
 
-    def commit_rebuild(self, ticket: RebuildTicket, staged: StagedGeneration) -> dict:
+    def commit_rebuild(self, ticket: RebuildTicket, built: ProMIPS) -> dict:
         """Swap the new generation in and replay drift (cheap; under lock:
-        O(drift) row copies plus array passes over the ids — the buffer was
-        staged off-lock by :meth:`build_generation`).
+        O(drift) row copies plus array passes over the ids).
 
         Mutations that landed between ``begin_rebuild`` and here replay into
         the new generation: still-live inserts (ids ``>= ticket.next_id``)
         become its delta buffer; snapshotted points deleted meanwhile become
-        its tombstones.  Everything else — the old tombstones, dropped delta
-        rows — is compacted away and its buffer storage reclaimed.
+        its tombstones.  Everything else — the old generation's data, the
+        old tombstones, dropped delta rows — is released.
 
         Returns:
             Accounting for the maintenance engine: ``reclaimed_bytes``,
@@ -517,39 +511,32 @@ class DynamicProMIPS:
         """
         try:
             live_ids = ticket.live_ids
-            n_indexed = live_ids.size
+            old_indexed = self._index.n
             # Snapshotted points deleted during the build: in the new index,
             # so they re-enter as the only tombstones of the new generation.
             # A deleted delta point has no row; a deleted indexed point is
             # tombstoned in the current generation.
             rows = self._row_of[live_ids]
             dead = rows < 0
-            held = np.flatnonzero(~dead & (rows < self._index.n))
+            held = np.flatnonzero(~dead & (rows < old_indexed))
             dead[held] = self._tombstone_mask[rows[held]]
-            # Inserts that landed during the build, still live, in id order.
+            # Inserts that landed during the build, still live, in id order:
+            # all of them are delta rows of the current generation.
             drift_rows = self._row_of[ticket.next_id : self._next_id]
             replay_rows = drift_rows[drift_rows >= 0]
-            n_rows = n_indexed + replay_rows.size
-
-            buf = staged.buffer
-            if buf.shape[0] < n_rows:  # drift larger than the staged headroom
-                buf = np.empty((n_rows, self.dim), dtype=np.float64)
-                buf[:n_indexed] = ticket.vectors
-            buf[n_indexed:n_rows] = self._vec_buf[replay_rows]
-            external_of = np.full(buf.shape[0], -1, dtype=np.int64)
-            external_of[:n_indexed] = live_ids
-            external_of[n_indexed:n_rows] = self._external_of[replay_rows]
+            delta = self._delta_buf[replay_rows - old_indexed]
+            external_of = np.concatenate(
+                [live_ids, self._external_of[replay_rows]]
+            )
             row_of = np.full(self._row_of.size, -1, dtype=np.int64)
-            row_of[external_of[:n_rows]] = np.arange(n_rows)
-            # Reclaimed = allocated buffer storage actually given back:
-            # dead rows, orphans, and the doubling buffer's spare capacity.
-            reclaimed = (
-                max(0, self._vec_buf.shape[0] - buf.shape[0]) * self.dim * 8
-            )
+            row_of[external_of] = np.arange(external_of.size)
+            # Reclaimed = vector rows held before minus rows held after:
+            # tombstoned and dead rows, and the delta buffer's spare capacity.
+            held_before = old_indexed + self._delta_buf.shape[0]
+            held_after = built.n + delta.shape[0]
+            reclaimed = max(0, held_before - held_after) * self.dim * 8
 
-            self._install_generation(
-                staged.index, buf, n_rows, external_of, row_of, dead
-            )
+            self._install_generation(built, delta, external_of, row_of, dead)
             self.rebuilds += 1
             self.reclaimed_bytes += reclaimed
             return {
@@ -557,7 +544,7 @@ class DynamicProMIPS:
                 "replayed_inserts": int(replay_rows.size),
                 "replayed_deletes": self._n_tombstones,
                 "live_points": self.n_live,
-                "indexed_points": staged.index.n,
+                "indexed_points": built.n,
             }
         finally:
             self._rebuild_in_progress = False
@@ -574,11 +561,11 @@ class DynamicProMIPS:
         """
         ticket = self.begin_rebuild()
         try:
-            staged = self.build_generation(ticket)
+            built = self.build_generation(ticket)
         except BaseException:
             self.abort_rebuild(ticket)
             raise
-        return self.commit_rebuild(ticket, staged)
+        return self.commit_rebuild(ticket, built)
 
     # --------------------------------------------------------------- search
 
@@ -625,13 +612,12 @@ class DynamicProMIPS:
         id_blocks = [np.where(dead, MERGE_SENTINEL, self._external_of[safe])]
         score_blocks = [np.where(dead, -np.inf, base.scores)]
 
-        delta_rows = self._delta_rows()
-        n_delta = delta_rows.size
+        slots = self._delta_slots()
+        n_delta = slots.size
         if n_delta:
-            delta_scores = batch_inner_products(self._vec_buf[delta_rows], queries)
-            id_blocks.append(
-                np.broadcast_to(self._external_of[delta_rows], (n_q, n_delta))
-            )
+            delta_scores = batch_inner_products(self._delta_buf[slots], queries)
+            delta_ids = self._external_of[self._index.n + slots]
+            id_blocks.append(np.broadcast_to(delta_ids, (n_q, n_delta)))
             score_blocks.append(np.ascontiguousarray(delta_scores.T))
 
         top_ids, top_scores = merge_topk_panels(id_blocks, score_blocks, k)
@@ -648,13 +634,12 @@ class DynamicProMIPS:
 
     def index_size_bytes(self) -> int:
         """Everything beyond one copy of the live indexed data: the inner
-        index's structures, every buffer row that is not live indexed data
-        (delta copies, tombstoned rows, dead delta rows awaiting compaction,
-        and the doubling buffer's allocated-but-unused capacity — all of it
-        resident memory), and the id arrays (two int64 maps and the
+        index's structures, the delta buffer's whole capacity (live inserts,
+        dead ones awaiting compaction, and allocated-but-unused rows — all
+        of it resident memory), the tombstoned rows still held in the
+        generation's data, and the id arrays (two int64 maps and the
         tombstone mask, capacity included)."""
-        live_indexed = self._index.n - self._n_tombstones
-        aux_rows = self._vec_buf.shape[0] - live_indexed
+        aux_rows = self._delta_buf.shape[0] + self._n_tombstones
         return (
             self._index.index_size_bytes()
             + aux_rows * self.dim * 8

@@ -17,10 +17,11 @@ canonical implementation):
   threshold), or ``None``;
 * ``begin_rebuild() -> RebuildTicket`` — snapshot the live vector set
   (called under the serving lock; O(live) copy, no index build);
-* ``build_generation(ticket) -> staged`` — bulk-load the next generation
-  from the snapshot (called **off** the lock; the expensive part); the
-  returned object is opaque to the engine and only handed to the commit;
-* ``commit_rebuild(ticket, staged) -> dict`` — atomically swap the new
+* ``build_generation(ticket) -> generation`` — bulk-load the next
+  generation from the snapshot (called **off** the lock; the expensive
+  part); the returned object is opaque to the engine and only handed to
+  the commit;
+* ``commit_rebuild(ticket, generation) -> dict`` — atomically swap the new
   generation in and *replay* the mutations that landed during the build
   (under the lock again; O(drift));
 * ``abort_rebuild(ticket)`` — drop an in-flight generation after a failed
@@ -59,7 +60,9 @@ class RebuildTicket:
     Attributes:
         live_ids: ascending external ids live at snapshot time.
         vectors: their vectors, ``(len(live_ids), d)``, an independent copy
-            so the build can run while the live buffer keeps mutating.
+            so the build can run while the live index keeps mutating.  The
+            snapshot becomes the next generation's data as it is, so a
+            rebuild never holds the generation's vectors twice.
         next_id: the id counter at snapshot time — every id ``>= next_id``
             seen at commit was inserted *during* the build and replays into
             the new generation's delta buffer.
@@ -177,9 +180,9 @@ class MaintenanceEngine:
             self._cursor = (pos + 1) % n
             start = time.perf_counter()
             try:
-                staged = target.build_generation(ticket)
+                generation = target.build_generation(ticket)
                 with self._lock:
-                    report = target.commit_rebuild(ticket, staged)
+                    report = target.commit_rebuild(ticket, generation)
                     # Inside the lock: a search that computed against the
                     # old generation and races its cache put against this
                     # swap must see the bumped generation (and be refused),

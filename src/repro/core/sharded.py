@@ -12,7 +12,7 @@ where exact MIPS serving wins.
 (contiguous ranges or a deterministic multiplicative hash of the point id),
 builds **any** spec-described method per shard through
 :func:`repro.spec.build_index`, and answers ``search``/``search_many`` by
-fanning the query set out over the shards — a thread pool for batches, since
+fanning the query set out over the shards — a thread pool, since
 NumPy releases the GIL inside the BLAS kernels every shard leans on — and
 exact-merging the per-shard top-k lists.
 
@@ -111,8 +111,6 @@ class ShardedIndex:
         requested_shards: the configured shard count (the effective count,
             ``len(shards)``, can be lower on small datasets).
         assignment: ``"contiguous"`` or ``"hash"``.
-        n_threads: fan-out width for ``search_many``; ``None`` uses
-            ``min(len(shards), cpu_count)``.
         next_id: next global id handed to :meth:`insert`.
     """
 
@@ -123,7 +121,6 @@ class ShardedIndex:
         inner_spec: IndexSpec,
         requested_shards: int,
         assignment: str,
-        n_threads: int | None = None,
         next_id: int | None = None,
     ) -> None:
         if not shards or len(shards) != len(members):
@@ -142,7 +139,6 @@ class ShardedIndex:
         self.inner_spec = inner_spec
         self.requested_shards = int(requested_shards)
         self.assignment = assignment
-        self.n_threads = n_threads
         self.dim = dims.pop()
         self._next_id = (
             int(next_id)
@@ -162,7 +158,6 @@ class ShardedIndex:
         inner: IndexSpec | str | dict = "promips()",
         shards: int = 4,
         assignment: str = "contiguous",
-        n_threads: int | None = None,
         rng: np.random.Generator | int | None = None,
     ) -> "ShardedIndex":
         """Partition ``data`` and build one inner index per shard.
@@ -172,7 +167,6 @@ class ShardedIndex:
             inner: spec of the per-shard method (any registered method).
             shards: partition count; clamped to ``n`` so no shard is empty.
             assignment: ``"contiguous"`` row ranges or ``"hash"`` of the id.
-            n_threads: default fan-out width for ``search_many``.
             rng: generator or seed; each shard builds from an independently
                 spawned child stream, so builds are deterministic per seed
                 regardless of shard count.
@@ -196,10 +190,7 @@ class ShardedIndex:
             build_index(inner_spec, np.ascontiguousarray(data[m]), rng=child)
             for m, child in zip(members, child_rngs)
         ]
-        return cls(
-            built, members, inner_spec, int(shards), assignment,
-            n_threads=n_threads, next_id=n,
-        )
+        return cls(built, members, inner_spec, int(shards), assignment, next_id=n)
 
     # ------------------------------------------------------- registry contract
 
@@ -220,7 +211,6 @@ class ShardedIndex:
                 "inner": str(self.inner_spec),
                 "shards": self.requested_shards,
                 "assignment": self.assignment,
-                "n_threads": self.n_threads,
             },
         )
 
@@ -240,6 +230,9 @@ class ShardedIndex:
 
     @classmethod
     def from_state(cls, spec: IndexSpec, state: dict[str, np.ndarray]) -> "ShardedIndex":
+        """Reconstruct from :meth:`spec` + :meth:`state` output.  Envelopes
+        written before 1.11 also carry an ``n_threads`` spec parameter,
+        which is ignored."""
         shards: list = []
         members: list[np.ndarray] = []
         while f"shard{len(shards)}___meta__" in state:
@@ -254,7 +247,6 @@ class ShardedIndex:
             IndexSpec.parse(spec.params["inner"]),
             int(spec.params.get("shards", len(shards))),
             spec.params.get("assignment", "contiguous"),
-            n_threads=spec.params.get("n_threads"),
             next_id=int(state["next_id"][0]),
         )
 
@@ -288,29 +280,25 @@ class ShardedIndex:
     # ------------------------------------------------------------------ search
 
     def search(self, query: np.ndarray, k: int = 1, **kwargs) -> SearchResult:
-        """Top-k over all shards: a one-row :meth:`search_many` on the
-        calling thread, so single and batch answers share one merge."""
+        """Top-k over all shards: a one-row :meth:`search_many`, so single
+        and batch answers share one fan-out and one merge."""
         query = validate_query(query, self.dim)
-        return self.search_many(query[None, :], k=k, n_threads=1, **kwargs)[0]
+        return self.search_many(query[None, :], k=k, **kwargs)[0]
 
     def search_many(
-        self,
-        queries: np.ndarray,
-        k: int = 1,
-        n_threads: int | None = None,
-        **kwargs,
+        self, queries: np.ndarray, k: int = 1, **kwargs
     ) -> BatchResult:
         """Fan a batch out over the shards and merge per query.
 
         Each shard answers the *whole* batch through its native
         ``search_many`` path; shards run concurrently on a thread pool
-        (BLAS releases the GIL, so per-shard GEMMs overlap on real cores).
-        Per-shard wall-clock seconds land in :attr:`last_shard_seconds`.
+        ``min(n_shards, cpu_count)`` wide (BLAS releases the GIL, so
+        per-shard GEMMs overlap on real cores).  Per-shard wall-clock
+        seconds land in :attr:`last_shard_seconds`.
 
         Args:
             queries: ``(n_q, d)`` batch (one ``(d,)`` query is promoted).
             k: results per query.
-            n_threads: fan-out width override for this call.
             **kwargs: forwarded to every shard (e.g. ProMIPS ``c=0.8``).
         """
         k = validate_k(k)
@@ -327,14 +315,10 @@ class ShardedIndex:
             timings[s] = time.perf_counter() - start
             return batch
 
-        width = n_threads if n_threads is not None else self.n_threads
-        if width is None:
-            width = min(self.n_shards, os.cpu_count() or 1)
-        # A pool wider than the shard count only oversubscribes (each shard
-        # is one task) — clamp, so a persisted big-host n_threads tuning
-        # stays bounded when the index reloads on a smaller machine.
-        width = min(width, self.n_shards)
-        if width > 1 and self.n_shards > 1:
+        # Each shard is one task, so a pool wider than the shard count
+        # would only oversubscribe.
+        width = min(self.n_shards, os.cpu_count() or 1)
+        if width > 1:
             with ThreadPoolExecutor(max_workers=width) as pool:
                 shard_batches = list(pool.map(run_shard, range(self.n_shards)))
         else:

@@ -4,22 +4,23 @@ The runtime records four things about itself: how many requests it has
 answered per endpoint (and how fast, as QPS since start), how the result
 cache is doing (hit rate), how full the coalesced batches run (an occupancy
 histogram — the direct read-out of what micro-batching is buying), and the
-end-to-end latency distribution (p50/p95/p99 through the shared
-:func:`repro.eval.metrics.percentile` rule, so server numbers line up with
-harness numbers).
+end-to-end latency distribution of each endpoint (p50/p95/p99 through the
+shared :func:`repro.eval.metrics.percentile` rule, so server numbers line up
+with harness numbers).
 
 Everything is guarded by one ``threading.Lock`` held only for appends and
 integer bumps — no percentile math happens under the lock; :meth:`snapshot`
-copies the raw samples out first and aggregates outside.  Latencies live in
-a bounded ring (:data:`DEFAULT_WINDOW` most recent samples) so a long-lived
-server reports *recent* tail latency instead of averaging over its lifetime.
+copies the raw samples out first and aggregates outside.  Each endpoint's
+latencies live in a bounded ring (its :data:`DEFAULT_WINDOW` most recent
+samples) so a long-lived server reports *recent* tail latency instead of
+averaging over its lifetime, and a search percentile never mixes in writes.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import Counter
+from collections import Counter, defaultdict, deque
 
 from repro.eval.metrics import latency_summary
 
@@ -32,10 +33,10 @@ DEFAULT_WINDOW = 4096
 
 
 class Telemetry:
-    """Counters, batch-occupancy histogram, and a latency ring buffer.
+    """Counters, batch-occupancy histogram, and one latency ring per endpoint.
 
     Args:
-        window: number of most-recent latency samples retained per kind.
+        window: number of most-recent latency samples retained per endpoint.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW) -> None:
@@ -47,8 +48,9 @@ class Telemetry:
         self._requests: Counter[str] = Counter()
         self._errors: Counter[str] = Counter()
         self._batch_occupancy: Counter[int] = Counter()
-        self._latencies: list[float] = []
-        self._latency_pos = 0  # ring cursor once the window is full
+        self._latencies: defaultdict[str, deque[float]] = defaultdict(
+            lambda: deque(maxlen=self._window)
+        )
 
     # ------------------------------------------------------------- recording
 
@@ -57,7 +59,7 @@ class Telemetry:
         with self._lock:
             self._requests[endpoint] += 1
             if seconds is not None:
-                self._record_latency_locked(float(seconds))
+                self._latencies[endpoint].append(float(seconds))
 
     def record_error(self, endpoint: str) -> None:
         """Count one request that was answered with an error status."""
@@ -70,13 +72,6 @@ class Telemetry:
             raise ValueError(f"occupancy must be positive, got {occupancy}")
         with self._lock:
             self._batch_occupancy[int(occupancy)] += 1
-
-    def _record_latency_locked(self, seconds: float) -> None:
-        if len(self._latencies) < self._window:
-            self._latencies.append(seconds)
-        else:
-            self._latencies[self._latency_pos] = seconds
-            self._latency_pos = (self._latency_pos + 1) % self._window
 
     # ------------------------------------------------------------- reporting
 
@@ -104,7 +99,9 @@ class Telemetry:
             requests = dict(self._requests)
             errors = dict(self._errors)
             occupancy = dict(self._batch_occupancy)
-            latencies = list(self._latencies)
+            latencies = {
+                endpoint: list(ring) for endpoint, ring in self._latencies.items()
+            }
         elapsed = max(time.monotonic() - self._started, 1e-9)
         total = sum(requests.values())
         dispatches = sum(occupancy.values())
@@ -115,7 +112,10 @@ class Telemetry:
             "requests_by_endpoint": requests,
             "errors_by_endpoint": errors,
             "qps": total / elapsed,
-            "latency": latency_summary(latencies),
+            "latency": {
+                endpoint: latency_summary(samples)
+                for endpoint, samples in latencies.items()
+            },
             "batch": {
                 "dispatches": dispatches,
                 "histogram": {str(size): occupancy[size] for size in sorted(occupancy)},

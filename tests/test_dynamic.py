@@ -240,19 +240,24 @@ class TestCompaction:
         inflated = index.index_size_bytes()
         assert inflated > size_fresh
         index.compact()
-        # Compaction reclaims the dead rows (a few rows of staged drift
-        # headroom may remain, so compare against the inflated size).
+        # Compaction reclaims the dead rows.
         assert index.index_size_bytes() < inflated
         assert index.reclaimed_bytes > 0
 
     def test_size_accounting_counts_buffer_capacity(self, latent_small):
         data, _ = latent_small
         index = DynamicProMIPS(data[:200], PARAMS, rng=1)
+        row_bytes = index.dim * 8
         before = index.index_size_bytes()
-        index.insert(data[500])  # doubles the buffer: 200 -> 400 rows held
+        index.insert(data[500])  # allocates the delta buffer: 8 rows held
         grown = index.index_size_bytes()
-        # The allocated-but-unused capacity is resident memory and counts.
-        assert grown - before >= 200 * index.dim * 8
+        # The allocated-but-unused capacity is resident memory and counts...
+        assert grown - before >= 8 * row_bytes
+        index.insert(data[501])  # lands in that spare capacity
+        assert index.index_size_bytes() == grown
+        # ...but an insert grows only the delta buffer: it never copies the
+        # 200 indexed rows.
+        assert grown - before < 200 * row_bytes
 
     def test_state_round_trips_after_compaction_and_orphans(
         self, latent_small, tmp_path
@@ -348,8 +353,8 @@ class TestGenerationalRebuild:
             index.delete(310)  # a delta point
 
         ticket = a.begin_rebuild()
-        staged = a.build_generation(ticket)
-        a.commit_rebuild(ticket, staged)
+        built = a.build_generation(ticket)
+        a.commit_rebuild(ticket, built)
         b.compact()
 
         for q in queries:
@@ -367,12 +372,12 @@ class TestGenerationalRebuild:
         pre_insert = index.insert(data[500] * 3.0)
 
         ticket = index.begin_rebuild()
-        staged = index.build_generation(ticket)
+        built = index.build_generation(ticket)
         # Drift lands between build and commit:
         mid_insert = index.insert(data[501] * 5.0)
         index.delete(7)           # snapshotted -> replays as a tombstone
         index.delete(pre_insert)  # snapshotted delta point -> also dead
-        report = index.commit_rebuild(ticket, staged)
+        report = index.commit_rebuild(ticket, built)
 
         assert report["replayed_inserts"] == 1
         assert report["replayed_deletes"] == 2
@@ -385,18 +390,16 @@ class TestGenerationalRebuild:
         assert 7 not in ids and pre_insert not in ids
 
     def test_drift_beyond_staged_headroom_falls_back(self, latent_small):
-        # build_generation stages the commit buffer with bounded spare
-        # capacity; more drift than that must still commit correctly via
-        # the allocation fallback.
+        # Drift of any size replays into the new generation's delta
+        # buffer: thirty inserts land between the build and the commit.
         data, _ = latent_small
         index = self._twin(data)
         ticket = index.begin_rebuild()
-        staged = index.build_generation(ticket)
-        assert staged.buffer.shape[0] < 300 + 30
+        built = index.build_generation(ticket)
         for row in data[500:529]:
             index.insert(row)
         spike = index.insert(data[529] * 5.0)
-        report = index.commit_rebuild(ticket, staged)
+        report = index.commit_rebuild(ticket, built)
         assert report["replayed_inserts"] == 30
         assert index.n_live == 330 and index.buffer_rows == 330
         assert index.search(data[529], k=1).ids[0] == spike
@@ -405,10 +408,10 @@ class TestGenerationalRebuild:
         data, _ = latent_small
         index = self._twin(data)
         ticket = index.begin_rebuild()
-        staged = index.build_generation(ticket)
+        built = index.build_generation(ticket)
         ephemeral = index.insert(data[500])
         index.delete(ephemeral)
-        report = index.commit_rebuild(ticket, staged)
+        report = index.commit_rebuild(ticket, built)
         assert report["replayed_inserts"] == 0
         assert report["replayed_deletes"] == 0
         assert index.delta_size == 0 and index.tombstone_count == 0
@@ -439,6 +442,115 @@ class TestGenerationalRebuild:
         assert index.maintenance_due() == "delta"
         index.compact()
         assert index.rebuilds == 1 and index.maintenance_due() is None
+
+
+def _held_vector_bytes(index: DynamicProMIPS) -> int:
+    """Bytes of distinct vector storage the index holds, the generation's
+    data included; views into one buffer count once."""
+    arrays = [index._index.state()["data"]] + [
+        value
+        for value in vars(index).values()
+        if isinstance(value, np.ndarray) and value.ndim == 2
+    ]
+    owners: list[np.ndarray] = []
+    for array in arrays:
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        if not any(array is owner for owner in owners):
+            owners.append(array)
+    return sum(owner.nbytes for owner in owners)
+
+
+def _spy_tickets(index: DynamicProMIPS) -> list:
+    """Record every ticket ``index.begin_rebuild`` hands out."""
+    tickets = []
+    begin = index.begin_rebuild
+
+    def spy():
+        tickets.append(begin())
+        return tickets[-1]
+
+    index.begin_rebuild = spy
+    return tickets
+
+
+class TestOneCopyOfVectors:
+    """Each generation owns its snapshot and inserts have a buffer of their
+    own, so no second array ever holds the indexed vectors."""
+
+    @staticmethod
+    def _mutated(data):
+        index = DynamicProMIPS(data[:300], PARAMS, rng=1)
+        for row in data[500:505]:
+            index.insert(row)
+        index.delete(3)
+        index.delete(301)
+        return index
+
+    @staticmethod
+    def _assert_one_copy(index, ticket=None):
+        if ticket is not None:
+            assert index._index.state()["data"] is ticket.vectors
+        # One copy of the indexed rows plus a delta buffer far smaller.
+        held = _held_vector_bytes(index)
+        assert held < (index.indexed_points + 64) * index.dim * 8
+
+    def test_compaction_generation_owns_the_snapshot(self, latent_small):
+        data, _ = latent_small
+        index = self._mutated(data)
+        tickets = _spy_tickets(index)
+        index.compact()
+        assert len(tickets) == 1
+        self._assert_one_copy(index, tickets[0])
+        index.insert(data[600])
+        self._assert_one_copy(index)
+        assert index.search(data[600], k=1).ids.size == 1
+
+    def test_engine_generation_owns_the_snapshot(self, latent_small):
+        from repro.core.maintenance import MaintenanceEngine
+
+        data, _ = latent_small
+        index = DynamicProMIPS(data[:300], PARAMS, rng=1, rebuild_threshold=0.01)
+        tickets = _spy_tickets(index)
+        engine = MaintenanceEngine(index)
+        try:
+            for row in data[500:505]:
+                index.insert(row)
+            report = engine.run_once()
+        finally:
+            engine.close()
+        assert report is not None and report["reason"] == "delta"
+        assert len(tickets) == 1
+        self._assert_one_copy(index, tickets[0])
+
+    def test_reload_holds_one_copy(self, latent_small, tmp_path):
+        from repro.core.persist import load_index, save_index
+
+        data, queries = latent_small
+        index = self._mutated(data)
+        restored = load_index(save_index(index, tmp_path / "dyn"))
+        self._assert_one_copy(restored)
+        expected = index.search_many(queries, k=8)
+        got = restored.search_many(queries, k=8)
+        assert np.array_equal(got.ids, expected.ids)
+        assert np.array_equal(got.scores, expected.scores)
+
+    def test_insert_after_reload_copies_no_indexed_row(
+        self, latent_small, tmp_path
+    ):
+        from repro.core.persist import load_index, save_index
+
+        data, _ = latent_small
+        restored = load_index(
+            save_index(self._mutated(data), tmp_path / "dyn")
+        )
+        before = restored.index_size_bytes()
+        for row in data[600:602]:
+            restored.insert(row)
+        grown = restored.index_size_bytes() - before
+        # Doubling one buffer of every row would cost indexed_points rows.
+        assert grown < restored.indexed_points * restored.dim * 8
+        self._assert_one_copy(restored)
 
 
 class TestDeleteLastPoint:

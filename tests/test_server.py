@@ -380,10 +380,24 @@ class TestInspectionEndpoints:
         assert stats["requests_by_endpoint"]["search"] == 2
         assert stats["cache"]["hits"] == 1 and stats["cache"]["misses"] == 1
         assert stats["cache"]["hit_rate"] == pytest.approx(0.5)
-        assert stats["latency"]["count"] == 2
-        assert stats["latency"]["p50_ms"] >= 0.0
+        assert stats["latency"]["search"]["count"] == 2
+        assert stats["latency"]["search"]["p50_ms"] >= 0.0
         assert stats["qps"] > 0
         assert stats["index"]["method"] == "exact"
+
+    def test_stats_latency_is_per_endpoint(self, serve):
+        index, data, queries = _build("dynamic")
+        client = serve(ServingRuntime(index))
+        for q in queries[:2]:
+            client.post("/search", {"query": q.tolist(), "k": 2})
+        _, inserted = client.post("/insert", {"vector": data[0].tolist()})
+        client.post("/delete", {"id": inserted["id"]})
+        code, stats = client.get("/stats")
+        assert code == 200
+        by_endpoint = {"search": 2, "insert": 1, "delete": 1}
+        assert stats["requests_by_endpoint"] == by_endpoint
+        counts = {ep: s["count"] for ep, s in stats["latency"].items()}
+        assert counts == by_endpoint
 
     def test_search_params_forwarded(self, serve):
         index, data, queries = _build("promips")

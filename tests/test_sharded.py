@@ -160,13 +160,52 @@ class TestEdges:
         assert len(sharded.last_shard_seconds) == sharded.n_shards
         assert all(t >= 0.0 for t in sharded.last_shard_seconds)
 
-    def test_thread_pool_fanout_matches_sequential(self, workload):
+    def test_thread_pool_fanout_matches_sequential(self, workload, monkeypatch):
+        import os
+        import threading
+
         data, queries = workload
         sharded = ShardedIndex.build(data, inner="exact()", shards=4, rng=1)
-        pooled = sharded.search_many(queries, k=10, n_threads=4)
-        sequential = sharded.search_many(queries, k=10, n_threads=1)
+        threads = set()
+        for shard in sharded.shards:
+            inner = shard.search_many
+
+            def spy(*args, _inner=inner, **kwargs):
+                threads.add(threading.get_ident())
+                return _inner(*args, **kwargs)
+
+            shard.search_many = spy
+
+        def run(cpus):
+            threads.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            return sharded.search_many(queries, k=10), set(threads)
+
+        # The fan-out width is min(n_shards, cpu_count): one CPU runs every
+        # shard on the calling thread, four run them on the pool.
+        sequential, seq_threads = run(1)
+        pooled, pool_threads = run(4)
+        assert seq_threads == {threading.get_ident()}
+        assert threading.get_ident() not in pool_threads
         assert np.array_equal(pooled.ids, sequential.ids)
         assert np.array_equal(pooled.scores, sequential.scores)
+
+    def test_n_threads_is_rejected(self, workload):
+        data, _ = workload
+        with pytest.raises(ValueError):
+            build_index("sharded(inner='exact()', shards=2, n_threads=2)", data)
+
+    def test_envelope_with_n_threads_still_loads(self, workload):
+        data, queries = workload
+        sharded = ShardedIndex.build(data, inner="exact()", shards=3, rng=1)
+        # Envelopes written before n_threads was removed persist it as None.
+        spec = IndexSpec("sharded", {**sharded.spec().params, "n_threads": None})
+        restored = ShardedIndex.from_state(spec, sharded.state())
+        assert "n_threads" not in restored.spec().params
+        expected = sharded.search_many(queries, k=5)
+        got = restored.search_many(queries, k=5)
+        assert np.array_equal(got.ids, expected.ids)
+        assert np.array_equal(got.scores, expected.scores)
 
     def test_registered_and_spec_round_trip(self, workload):
         data, _ = workload

@@ -15,7 +15,7 @@ class TestCounters:
         snap = Telemetry().snapshot()
         assert snap["requests_total"] == 0
         assert snap["qps"] == 0.0
-        assert snap["latency"]["count"] == 0
+        assert snap["latency"] == {}
         assert snap["batch"] == {
             "dispatches": 0, "histogram": {}, "mean_occupancy": 0.0,
         }
@@ -50,7 +50,7 @@ class TestLatency:
         samples = rng.exponential(scale=0.002, size=200)
         for s in samples:
             telemetry.record_request("search", seconds=float(s))
-        latency = telemetry.snapshot()["latency"]
+        latency = telemetry.snapshot()["latency"]["search"]
         assert latency["count"] == 200
         assert latency["p50_ms"] == pytest.approx(
             float(np.percentile(samples, 50)) * 1e3
@@ -66,9 +66,23 @@ class TestLatency:
         telemetry = Telemetry(window=4)
         for s in [1.0, 1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0]:
             telemetry.record_request("search", seconds=s)
-        latency = telemetry.snapshot()["latency"]
+        latency = telemetry.snapshot()["latency"]["search"]
         assert latency["count"] == 4
         assert latency["p50_ms"] == pytest.approx(5000.0)
+
+    def test_each_endpoint_keeps_its_own_ring(self):
+        # A write's latency never enters the search percentiles.
+        telemetry = Telemetry(window=4)
+        for _ in range(6):
+            telemetry.record_request("search", seconds=0.001)
+        telemetry.record_request("insert", seconds=1.0)
+        telemetry.record_request("delete")  # counted, no latency sample
+        latency = telemetry.snapshot()["latency"]
+        assert set(latency) == {"search", "insert"}
+        assert latency["search"]["count"] == 4
+        assert latency["search"]["p99_ms"] == pytest.approx(1.0)
+        assert latency["insert"]["count"] == 1
+        assert latency["insert"]["p50_ms"] == pytest.approx(1000.0)
 
 
 class TestBatchHistogram:
