@@ -23,11 +23,9 @@ Public API:
 * ``repro.eval`` — metrics and the experiment harness regenerating the paper's
   tables and figures.
 
-Every index answers single queries (``search``) and query batches
-(``search_many``); batch answers are bit-identical to looping ``search``.
-``index.search_many`` is the one batch entry point;
-:func:`repro.search_batch` wraps it for per-query results plus aggregate
-:class:`repro.BatchStats`.
+Every index answers query batches (``search_many``), its one query
+implementation, and single queries (``search``) as one-row batches; a
+batch's row ``i`` is exactly ``search(queries[i])``.
 
 Quickstart:
 
@@ -46,7 +44,6 @@ Quickstart:
 """
 
 from repro.api import BatchResult, MIPSIndex, SearchResult, SearchStats
-from repro.core.batch import BatchStats, search_batch
 from repro.core.dynamic import DynamicProMIPS
 from repro.core.maintenance import MaintenanceEngine
 from repro.core.persist import inspect_index, load_index, save_index
@@ -69,7 +66,7 @@ from repro.spec import (
     registered_methods,
 )
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "MIPSIndex",
@@ -84,8 +81,6 @@ __all__ = [
     "resolve_rng",
     "ProMIPS",
     "ProMIPSParams",
-    "BatchStats",
-    "search_batch",
     "DynamicProMIPS",
     "MaintenanceEngine",
     "ShardedIndex",

@@ -4,15 +4,13 @@ Every MIPS method in this repository — ProMIPS and the baselines — returns
 the same :class:`SearchResult` so the evaluation harness and the examples can
 treat them interchangeably.
 
-Batch execution is first-class: the :class:`MIPSIndex` protocol includes
-``search_many(queries, k)`` returning a :class:`BatchResult`, and
-:class:`BatchSearchMixin` supplies a generic fallback (loop over ``search``)
-so every index answers batches even before it grows a natively vectorized
-path.  Native implementations (ProMIPS, Exact, PQ, SimHash) route both the
-single and the batch path through ``repro.core.engine``, which makes
-``search_many(Q, k)`` bit-identical to looping ``search(q, k)``.  An empty
-``(0, d)`` batch is valid everywhere and returns a ``(0, 0)``-shaped
-:class:`BatchResult`.
+Batch execution is the only execution: each method's one query
+implementation is ``search_many(queries, k)``, returning a
+:class:`BatchResult`, and ``search(query, k)`` is its one-row batch —
+validate the query, answer ``query[None, :]``, return row 0.  Row ``i`` of a
+batch never depends on the other rows, so a batch answers exactly what
+looping ``search`` would.  An empty ``(0, d)`` batch is valid everywhere and
+returns a ``(0, 0)``-shaped :class:`BatchResult`.
 
 Beyond search, every method implements the **registry contract** of
 :mod:`repro.spec`: the class registers itself under a canonical method name
@@ -42,7 +40,6 @@ __all__ = [
     "SearchResult",
     "BatchResult",
     "MIPSIndex",
-    "BatchSearchMixin",
     "validate_k",
     "validate_id",
     "validate_query",
@@ -137,7 +134,7 @@ class BatchResult:
 
     @classmethod
     def from_results(cls, results: list[SearchResult]) -> "BatchResult":
-        """Assemble a batch from per-query results (the fallback adapter).
+        """Assemble a batch from per-query results.
 
         An empty result list assembles to the empty batch, mirroring how
         ``search_many`` treats an empty query batch.
@@ -175,27 +172,12 @@ class MIPSIndex(Protocol):
         ...
 
     def search_many(self, queries: np.ndarray, k: int = 1) -> BatchResult:
-        """Answer a whole ``(n_q, d)`` batch; row ``i`` matches ``search(queries[i])``."""
+        """Answer a whole ``(n_q, d)`` batch; row ``i`` is ``search(queries[i])``."""
         ...
 
     def index_size_bytes(self) -> int:
         """Size of the auxiliary index structures (excluding the raw data)."""
         ...
-
-
-class BatchSearchMixin:
-    """Generic ``search_many`` fallback: loop ``search`` over the batch.
-
-    Gives every index a batch path for free; methods with a natively
-    vectorized batch implementation override :meth:`search_many` instead
-    (``repro.core.batch.has_native_batch`` tells the two apart).
-    """
-
-    def search_many(self, queries: np.ndarray, k: int = 1, **kwargs) -> BatchResult:
-        queries = validate_queries(queries, self.dim)
-        return BatchResult.from_results(
-            [self.search(q, k=k, **kwargs) for q in queries]
-        )
 
 
 def validate_k(k) -> int:
@@ -248,8 +230,18 @@ _NORM_OVERFLOW = "vector norm too large: its squared norm overflows float64"
 
 def validate_query(query: np.ndarray, dim: int) -> np.ndarray:
     """Normalise a query to a finite 1-D float64 vector of the right width,
-    whose squared norm is finite too."""
-    query = np.asarray(query, dtype=np.float64).reshape(-1)
+    whose squared norm is finite too.
+
+    Accepted shapes: ``(dim,)`` and a single ``(1, dim)`` row.  Anything
+    else — a ``(2, dim/2)`` matrix, a column, a scalar — raises
+    ``ValueError`` rather than being flattened into a vector that merely
+    holds ``dim`` numbers.
+    """
+    query = np.asarray(query, dtype=np.float64)
+    if query.ndim == 2 and query.shape[0] == 1:
+        query = query[0]
+    if query.ndim != 1:
+        raise ValueError(f"query must be a ({dim},) vector, got shape {query.shape}")
     if query.shape[0] != dim:
         raise ValueError(f"query has dimension {query.shape[0]}, index expects {dim}")
     if not np.all(np.isfinite(query)):

@@ -7,8 +7,10 @@
 * :class:`SimHashMIPS` — Simple-LSH + SimHash codes with exact re-ranking
   (off-paper; the lightest-index comparison point).
 
-Exact, PQ and SimHash implement natively vectorized ``search_many`` batch
-paths; the rest inherit the generic fallback from the API layer.
+Each method's one query implementation is ``search_many``; ``search`` is
+its one-row batch.  Exact, PQ and SimHash share batch-wide work (one scan
+GEMM, per-cell ADC tables, one encode GEMM); H2-ALSH and Range-LSH loop
+over the batch, since their shell and bucket walks stop per query.
 """
 
 from repro.baselines.exact import ExactMIPS, exact_topk

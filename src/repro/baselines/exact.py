@@ -5,10 +5,11 @@ and the trivially correct reference each approximate method is validated
 against in the tests.  Page accounting reflects a full sequential scan of the
 data file.
 
-``search_many`` is natively vectorized: one ``data @ Qᵀ`` GEMM scores the
-whole batch and top-k is taken per row via argpartition.  The single-query
-``search`` routes through the same engine kernels, so batch answers are
-bit-identical to looping ``search`` (see :mod:`repro.core.engine`).
+``search_many`` is the one query path: one ``data @ Qᵀ`` GEMM scores the
+whole batch and top-k is taken per row via argpartition; ``search`` is the
+one-row batch.  The engine's fixed-panel GEMMs make each row independent of
+its batch, so batch answers are bit-identical to looping ``search`` (see
+:mod:`repro.core.engine`).
 """
 
 from __future__ import annotations
@@ -80,23 +81,18 @@ class ExactMIPS:
         return 0
 
     def search(self, query: np.ndarray, k: int = 1) -> SearchResult:
-        """Exact top-k MIP by scanning every page of the data file."""
-        k = validate_k(k)
+        """Exact top-k for one ``(d,)`` query: a one-row :meth:`search_many`."""
         query = validate_query(query, self.dim)
-        reader = self._store.reader()
-        data = reader.scan_all()
-        ips = batch_inner_products(data, query[None, :])[:, 0]
-        ids, scores = topk_ids_scores(ips, k)
-        stats = SearchStats(pages=reader.pages_touched, candidates=self.n)
-        return SearchResult(ids=ids, scores=scores, stats=stats)
+        return self.search_many(query[None, :], k=k)[0]
 
     def search_many(self, queries: np.ndarray, k: int = 1) -> BatchResult:
-        """Exact top-k for a whole batch with one GEMM over the data file.
+        """Exact top-k MIP by scanning every page of the data file once per
+        batch, scoring the whole batch with one GEMM.
 
         The scan itself is shared across the batch — that is the throughput
         win — but each query's :class:`SearchStats` still reports the full
-        sequential scan it would cost standalone, keeping the paper's
-        cold-query page accounting comparable between both paths.
+        sequential scan it would cost standalone, so the paper's cold-query
+        page accounting does not depend on the batch size.
         """
         k = validate_k(k)
         queries = validate_queries(queries, self.dim)

@@ -24,10 +24,11 @@ import heapq
 import numpy as np
 
 from repro.api import (
-    BatchSearchMixin,
+    BatchResult,
     SearchResult,
     SearchStats,
     validate_k,
+    validate_queries,
     validate_query,
 )
 from repro.baselines.qalsh import QALSH, derive_qalsh_params
@@ -55,7 +56,7 @@ class _Shell:
 
 
 @register_method("h2alsh", aliases=("H2-ALSH", "H2ALSH"))
-class H2ALSH(BatchSearchMixin):
+class H2ALSH:
     """Homocentric-hypersphere ALSH with QNF transform and QALSH shells.
 
     Args:
@@ -200,10 +201,22 @@ class H2ALSH(BatchSearchMixin):
         return sum(shell.qalsh.index_size_bytes() for shell in self.shells)
 
     def search(self, query: np.ndarray, k: int = 1) -> SearchResult:
-        """c-k-AMIP search over the shells with early termination."""
-        k = validate_k(k)
+        """Top-k for one ``(d,)`` query: a one-row :meth:`search_many`."""
         query = validate_query(query, self.dim)
+        return self.search_many(query[None, :], k=k)[0]
+
+    def search_many(self, queries: np.ndarray, k: int = 1) -> BatchResult:
+        """c-k-AMIP search over the shells with early termination.
+
+        A per-query loop: each query's shell walk stops at its own bound, so
+        there is no batch-wide work to share.
+        """
+        k = validate_k(k)
+        queries = validate_queries(queries, self.dim)
         k = min(k, self.n)
+        return BatchResult.from_results([self._search_one(q, k) for q in queries])
+
+    def _search_one(self, query: np.ndarray, k: int) -> SearchResult:
         q_norm = float(np.linalg.norm(query))
 
         heap: list[tuple[float, int]] = []  # (ip, global_id) min-heap

@@ -416,13 +416,12 @@ class PQBasedMIPS:
         return total
 
     def search(self, query: np.ndarray, k: int = 1) -> SearchResult:
-        """ADC search over the probed cells, then exact re-ranking."""
-        k = validate_k(k)
+        """ADC search for one ``(d,)`` query: a one-row :meth:`search_many`."""
         query = validate_query(query, self.dim)
         return self.search_many(query[None, :], k=k)[0]
 
     def search_many(self, queries: np.ndarray, k: int = 1) -> BatchResult:
-        """ADC search for a whole batch (bit-identical to looping ``search``).
+        """ADC search over the probed cells, then exact re-ranking.
 
         Batch-wide work runs vectorized: the coarse scan is one norm-expanded
         GEMM over all queries, and every probed cell computes its ADC

@@ -28,10 +28,11 @@ import heapq
 import numpy as np
 
 from repro.api import (
-    BatchSearchMixin,
+    BatchResult,
     SearchResult,
     SearchStats,
     validate_k,
+    validate_queries,
     validate_query,
 )
 from repro.baselines.simhash import SimHash, hamming_distance
@@ -49,7 +50,7 @@ _CODE_BYTES = 2  # 16-bit codes in the paper's configuration
 
 
 @register_method("rangelsh", aliases=("Range-LSH", "RangeLSH", "NormRangingLSH"))
-class RangeLSH(BatchSearchMixin):
+class RangeLSH:
     """Norm-ranging LSH with shared SimHash codes and bound-ordered probing.
 
     Args:
@@ -161,10 +162,22 @@ class RangeLSH(BatchSearchMixin):
         return codes + self.simhash.size_bytes() + self._subset_max_norm.nbytes
 
     def search(self, query: np.ndarray, k: int = 1) -> SearchResult:
-        """c-k-AMIP search by probing (subset, Hamming-level) buckets."""
-        k = validate_k(k)
+        """Top-k for one ``(d,)`` query: a one-row :meth:`search_many`."""
         query = validate_query(query, self.dim)
+        return self.search_many(query[None, :], k=k)[0]
+
+    def search_many(self, queries: np.ndarray, k: int = 1) -> BatchResult:
+        """c-k-AMIP search by probing (subset, Hamming-level) buckets.
+
+        A per-query loop: each query's bucket walk stops at its own bound or
+        budget, so there is no batch-wide work to share.
+        """
+        k = validate_k(k)
+        queries = validate_queries(queries, self.dim)
         k = min(k, self.n)
+        return BatchResult.from_results([self._search_one(q, k) for q in queries])
+
+    def _search_one(self, query: np.ndarray, k: int) -> SearchResult:
         q_norm = float(np.linalg.norm(query))
         q_code = int(self.simhash.encode(simple_lsh_transform_query(query)))
 

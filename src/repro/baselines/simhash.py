@@ -10,9 +10,9 @@ points of all its norm-range subsets; the per-subset maximum norm then turns
 the cosine estimate into an inner-product upper bound used to rank probes.
 
 :class:`SimHashMIPS` turns the codes into a standalone MIPS baseline
-(Simple-LSH reduction → Hamming short-list → exact re-rank) with a natively
-vectorized ``search_many``: one GEMM encodes the whole query batch and the
-Hamming scan runs as blocked XOR/popcount matrix operations.
+(Simple-LSH reduction → Hamming short-list → exact re-rank) whose
+``search_many`` encodes the whole query batch with one GEMM and runs the
+Hamming scan as blocked XOR/popcount matrix operations.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.api import (
     SearchStats,
     validate_k,
     validate_queries,
+    validate_query,
 )
 from repro.baselines.transforms import (
     simple_lsh_transform_data,
@@ -126,11 +127,11 @@ class SimHashMIPS:
     like PQ, it is a guarantee-free comparison point, but with a far lighter
     index (one packed integer per point).
 
-    ``search_many`` is natively vectorized: one shape-stable GEMM signs all
-    queries at once and the Hamming matrix is computed by blocked
-    XOR/popcount.  Since Hamming distances are exact integers and re-ranking
-    uses the same per-query multiply as ``search``, batch answers are
-    bit-identical to the looped path.
+    ``search_many`` is the one query path (``search`` is its one-row batch):
+    one shape-stable GEMM signs all queries at once and the Hamming matrix
+    is computed by blocked XOR/popcount.  Hamming distances are exact
+    integers and re-ranking is a per-query multiply, so no row depends on
+    the rest of its batch.
 
     Args:
         data: ``(n, d)`` dataset.
@@ -228,11 +229,14 @@ class SimHashMIPS:
         return pack_code(projections >= 0.0)
 
     def search(self, query: np.ndarray, k: int = 1) -> SearchResult:
-        """Hamming-ranked c-k-AMIP search with exact re-ranking."""
-        return self.search_many(np.asarray(query, dtype=np.float64).reshape(1, -1), k=k)[0]
+        """Hamming-ranked search for one ``(d,)`` query: a one-row
+        :meth:`search_many`."""
+        query = validate_query(query, self.dim)
+        return self.search_many(query[None, :], k=k)[0]
 
     def search_many(self, queries: np.ndarray, k: int = 1) -> BatchResult:
-        """Batch search: one encode GEMM + blocked Hamming matrix scan."""
+        """Hamming-ranked c-k-AMIP search with exact re-ranking: one encode
+        GEMM + blocked Hamming matrix scan for the whole batch."""
         k = validate_k(k)
         queries = validate_queries(queries, self.dim)
         if queries.shape[0] == 0:

@@ -1,7 +1,6 @@
 """The paper's contribution: projections, conditions, Quick-Probe, ProMIPS —
 plus the shared batch query engine every index builds on."""
 
-from repro.core.batch import BatchStats, has_native_batch, search_batch
 from repro.core.engine import (
     CandidateVerifier,
     TopK,
@@ -37,9 +36,6 @@ from repro.core.promips import ProMIPS, ProMIPSParams
 from repro.core.quickprobe import ProbeOutcome, QuickProbe
 
 __all__ = [
-    "BatchStats",
-    "search_batch",
-    "has_native_batch",
     "CandidateVerifier",
     "TopK",
     "batch_inner_products",

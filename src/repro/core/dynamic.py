@@ -570,36 +570,28 @@ class DynamicProMIPS:
     # --------------------------------------------------------------- search
 
     def search(self, query: np.ndarray, k: int = 1, **kwargs) -> SearchResult:
-        """c-k-AMIP search over indexed + delta points, minus tombstones."""
-        k = validate_k(k)
+        """c-k-AMIP search for one ``(d,)`` query: a one-row :meth:`search_many`."""
         query = validate_query(query, self.dim)
-        return self._search_batch_core(query[None, :], k, kwargs)[0]
+        return self.search_many(query[None, :], k=k, **kwargs)[0]
 
     def search_many(
         self, queries: np.ndarray, k: int = 1, **kwargs
     ) -> BatchResult:
-        """Native vectorized batch path, bit-identical to looping
-        :meth:`search`: the indexed candidates come from the inner index's
-        own batch engine, the delta buffer is scanned with one fixed-panel
-        GEMM for the whole batch, and the tombstone-masked merge runs as one
-        axis-wise lexsort instead of a per-query Python loop."""
-        k = validate_k(k)
-        queries = validate_queries(queries, self.dim)
-        if queries.shape[0] == 0:
-            return BatchResult.empty()
-        return self._search_batch_core(queries, k, kwargs)
+        """c-k-AMIP search over indexed + delta points, minus tombstones.
 
-    def _search_batch_core(
-        self, queries: np.ndarray, k: int, kwargs: dict
-    ) -> BatchResult:
-        """Shared core of both entry points (which is what makes them agree
-        bit for bit: identical GEMM shapes, identical merge order).
-
+        The indexed candidates come from the inner index's ``search_many``,
+        the delta buffer is scanned with one fixed-panel GEMM for the whole
+        batch, and the tombstone-masked merge runs as one axis-wise lexsort.
         The merge orders candidates by ``(-score, external_id)`` — the same
         total order the engine's top-k applies — over the indexed top
         ``k + #tombstones`` (over-fetched so tombstoned answers cannot crowd
         out live ones) plus every delta point.
         """
+        k = validate_k(k)
+        queries = validate_queries(queries, self.dim)
+        if queries.shape[0] == 0:
+            return BatchResult.empty()
+
         n_q = queries.shape[0]
         k = min(k, self.n_live)
         index_k = min(self._index.n, k + self._n_tombstones)

@@ -1,8 +1,10 @@
 """Shared batch query engine: shape-stable GEMMs, top-k, candidate verification.
 
-Every index in this repository answers single queries and query batches
-through the same numeric kernels, so ``search_many(Q, k)`` is bit-identical
-to looping ``search(q, k)`` — a property the parity tests assert exactly.
+Every index in this repository has one query implementation,
+``search_many(Q, k)``; ``search(q, k)`` is its one-row batch.  So a batch
+answers exactly what looping ``search`` would if and only if row ``i`` does
+not depend on the rest of its batch — a property the parity tests assert
+exactly, and the one these kernels exist to keep.
 
 Achieving that with a BLAS back-end needs care: BLAS picks kernels (and with
 them accumulation orders) from the full problem *shape*, so ``X @ q``

@@ -4,20 +4,20 @@ The public entry point is :class:`ProMIPS`:
 
 >>> index = ProMIPS.build(data, ProMIPSParams(c=0.9, p=0.5))
 >>> result = index.search(query, k=10)
+>>> batch = index.search_many(queries, k=10)
 
-``search`` implements MIP-Search-II (Algorithm 3): Quick-Probe determines a
-range-search radius, one range search over the ring-pattern iDistance
-collects candidates, Condition A can terminate verification early, and a
-compensation pass extends the radius to ``r'`` when Condition B is not yet
-met.  ``search_incremental`` implements MIP-Search-I (Algorithm 1), the
+``search_many`` implements MIP-Search-II (Algorithm 3) for a query batch:
+Quick-Probe determines each query's range-search radius, one range search
+over the ring-pattern iDistance collects candidates, Condition A can
+terminate verification early, and a compensation pass extends the radius to
+``r'`` when Condition B is not yet met.  The batch-wide work — one GEMM
+projecting every query, one vectorized Quick-Probe group scan — is
+row-independent, and the adaptive range-search/verification core runs per
+query, so ``search`` is simply the one-row batch.
+
+``search_incremental`` implements MIP-Search-I (Algorithm 1), the
 incremental-NN variant that Quick-Probe was designed to replace; it is kept
 both as a reference implementation and for the ablation benchmark.
-
-``search_many`` is the native batch path: all queries are projected in one
-GEMM and the Quick-Probe group scans run vectorized over the whole batch;
-the adaptive per-query range-search/verification core is shared with
-``search`` through :mod:`repro.core.engine`, so batch answers are
-bit-identical to looping ``search``.
 """
 
 from __future__ import annotations
@@ -240,15 +240,6 @@ class ProMIPS:
 
     # ----------------------------------------------------------------- search
 
-    def _project_queries(self, queries: np.ndarray) -> np.ndarray:
-        """Project a ``(n_q, d)`` batch with one shape-stable GEMM.
-
-        Both ``search`` and ``search_many`` project through this helper, so a
-        query's projection never depends on its batch size — the keystone of
-        the batch/single bit-identity guarantee.
-        """
-        return project_batch(self.projection.matrix, queries)
-
     def _search_core(
         self,
         query: np.ndarray,
@@ -341,24 +332,9 @@ class ProMIPS:
         c: float | None = None,
         p: float | None = None,
     ) -> SearchResult:
-        """c-k-AMIP search via MIP-Search-II (Quick-Probe + range search).
-
-        Args:
-            query: ``(d,)`` query vector.
-            k: number of results (c-k-AMIP).
-            c: per-query approximation-ratio override.
-            p: per-query guarantee-probability override.
-        """
-        c = self.params.c if c is None else c
-        p = self.params.p if p is None else p
-        k = validate_k(k)
+        """c-k-AMIP search for one ``(d,)`` query: a one-row :meth:`search_many`."""
         query = validate_query(query, self.dim)
-        k = min(k, self.n)
-
-        q_proj = self._project_queries(query[None, :])[0]
-        q_l1 = float(np.abs(query).sum())
-        outcome = self.quickprobe.probe(q_proj, q_l1, c, p)
-        return self._search_core(query, q_proj, outcome, k, c, p)
+        return self.search_many(query[None, :], k=k, c=c, p=p)[0]
 
     def search_many(
         self,
@@ -367,19 +343,19 @@ class ProMIPS:
         c: float | None = None,
         p: float | None = None,
     ) -> BatchResult:
-        """c-k-AMIP search for a whole query batch (bit-identical to looping
-        :meth:`search`).
+        """c-k-AMIP search via MIP-Search-II (Quick-Probe + range search).
 
-        The batch-wide work runs vectorized — one GEMM projects every query,
-        and Quick-Probe scans the group summaries for the whole batch in one
-        pass — while the adaptive range-search/verification core (radii,
-        stopping conditions, compensation) stays per query because each query
-        terminates at its own radius.
+        The batch-wide work runs vectorized — one shape-stable GEMM projects
+        every query, and Quick-Probe scans the group summaries for the whole
+        batch in one pass — while the adaptive range-search/verification core
+        (radii, stopping conditions, compensation) stays per query because
+        each query terminates at its own radius.  No step mixes rows, so a
+        query's answer never depends on its batch.
 
         Args:
             queries: ``(n_q, d)`` query batch (a single ``(d,)`` query is
                 promoted to one row).
-            k: results per query.
+            k: results per query (c-k-AMIP).
             c: batch-wide approximation-ratio override.
             p: batch-wide guarantee-probability override.
         """
@@ -391,7 +367,7 @@ class ProMIPS:
             return BatchResult.empty()
         k = min(k, self.n)
 
-        q_projs = self._project_queries(queries)
+        q_projs = project_batch(self.projection.matrix, queries)
         q_l1s = np.array([float(np.abs(q).sum()) for q in queries])
         outcomes = self.quickprobe.probe_many(q_projs, q_l1s, c, p)
         results = [
@@ -420,7 +396,7 @@ class ProMIPS:
         query = validate_query(query, self.dim)
         k = min(k, self.n)
 
-        q_proj = self._project_queries(query[None, :])[0]
+        q_proj = project_batch(self.projection.matrix, query[None, :])[0]
         q_norm_sq = float(query @ query)
 
         tree_counter = AccessCounter()

@@ -65,25 +65,6 @@ class QuickProbe:
     def n_groups(self) -> int:
         return self._groups.n_groups
 
-    def probe(
-        self, query_projected: np.ndarray, query_l1: float, c: float, p: float
-    ) -> ProbeOutcome:
-        """Run Algorithm 2 for one query.
-
-        Args:
-            query_projected: ``P(q)``, shape ``(m,)``.
-            query_l1: ``‖q‖₁`` of the original query.
-            c: approximation ratio (0 < c < 1).
-            p: guaranteed probability (0 < p < 1).
-
-        Returns:
-            The located point (Test A pass) or the best fallback.
-        """
-        query_projected = np.asarray(query_projected, dtype=np.float64).reshape(-1)
-        return self.probe_many(
-            query_projected[None, :], np.array([query_l1]), c, p
-        )[0]
-
     def probe_many(
         self,
         queries_projected: np.ndarray,
@@ -98,8 +79,8 @@ class QuickProbe:
         LB, evaluating Test A on each min-ℓ1 representative, finding the
         first pass or the best fallback — is a handful of array operations
         over the ``(n_q, G)`` value matrix instead of a Python loop per
-        group.  Decisions are elementwise/argsort-based, so each row matches
-        the single-query probe bit for bit.
+        group.  Decisions are elementwise/argsort-based, so each row's
+        outcome is independent of the rest of the batch.
 
         Args:
             queries_projected: ``(n_q, m)`` projected queries ``P(q)``.
@@ -127,7 +108,7 @@ class QuickProbe:
             raise ValueError("query_l1 must be non-negative")
 
         # Theorem 3 bounds, one row per query (query-specific XOR ⇒ per-query
-        # multiply; each call is identical to the one `probe` would make).
+        # multiply).
         lbs = np.stack(
             [self._groups.lower_bounds(q) for q in queries_projected]
         )  # (n_q, G)

@@ -280,8 +280,7 @@ class ShardedIndex:
     # ------------------------------------------------------------------ search
 
     def search(self, query: np.ndarray, k: int = 1, **kwargs) -> SearchResult:
-        """Top-k over all shards: a one-row :meth:`search_many`, so single
-        and batch answers share one fan-out and one merge."""
+        """Top-k for one ``(d,)`` query: a one-row :meth:`search_many`."""
         query = validate_query(query, self.dim)
         return self.search_many(query[None, :], k=k, **kwargs)[0]
 
@@ -290,8 +289,8 @@ class ShardedIndex:
     ) -> BatchResult:
         """Fan a batch out over the shards and merge per query.
 
-        Each shard answers the *whole* batch through its native
-        ``search_many`` path; shards run concurrently on a thread pool
+        Each shard answers the *whole* batch through its own
+        ``search_many``; shards run concurrently on a thread pool
         ``min(n_shards, cpu_count)`` wide (BLAS releases the GIL, so
         per-shard GEMMs overlap on real cores).  Per-shard wall-clock
         seconds land in :attr:`last_shard_seconds`.

@@ -16,14 +16,12 @@ actual construction goes through ``repro.build_index``.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.api import MIPSIndex, validate_k
-from repro.core.batch import has_native_batch
-from repro.core.promips import ProMIPSParams
 from repro.data.datasets import Dataset
 from repro.eval.ground_truth import GroundTruth
 from repro.eval.metrics import latency_summary, overall_ratio, recall
@@ -123,13 +121,9 @@ class MethodRegistry:
         return build_index(self.spec_for(name, dataset), dataset.data, rng=seed)
 
 
-def default_registry(
-    c: float = 0.9,
-    p: float = 0.5,
-    promips_params: ProMIPSParams | None = None,
-    include_extras: bool = False,
-) -> MethodRegistry:
-    """The four methods of the paper under its §VIII-A-4 defaults.
+def default_registry(include_extras: bool = False) -> MethodRegistry:
+    """The four methods of the paper under its §VIII-A-4 defaults
+    (``c = 0.9``, ``p = 0.5``).
 
     PQ's training-heavy knobs scale with the dataset so that simulated builds
     stay minutes-free while preserving the paper's 16-subspace / 16-probe
@@ -145,9 +139,7 @@ def default_registry(
     registry = MethodRegistry()
 
     def promips_spec(ds: Dataset) -> IndexSpec:
-        if promips_params is not None:
-            return IndexSpec("promips", asdict(promips_params))
-        return IndexSpec("promips", {"c": c, "p": p, "page_size": ds.page_size})
+        return IndexSpec("promips", {"c": 0.9, "p": 0.5, "page_size": ds.page_size})
 
     def pq_spec(ds: Dataset) -> IndexSpec:
         n = ds.data.shape[0]
@@ -171,11 +163,11 @@ def default_registry(
 
     registry.register("ProMIPS", promips_spec)
     registry.register(
-        "H2-ALSH", lambda ds: IndexSpec("h2alsh", {"c": c, "page_size": ds.page_size})
+        "H2-ALSH", lambda ds: IndexSpec("h2alsh", {"c": 0.9, "page_size": ds.page_size})
     )
     registry.register(
         "Range-LSH",
-        lambda ds: IndexSpec("rangelsh", {"c": c, "page_size": ds.page_size}),
+        lambda ds: IndexSpec("rangelsh", {"c": 0.9, "page_size": ds.page_size}),
     )
     registry.register("PQ-Based", pq_spec)
     if include_extras:
@@ -218,7 +210,6 @@ def run_method(
     k: int,
     method: str = "",
     search_kwargs: dict | None = None,
-    page_latency: float = PAGE_LATENCY_SECONDS,
 ) -> QueryReport:
     """Run every workload query at one ``k`` and aggregate the §VIII metrics.
 
@@ -251,7 +242,7 @@ def run_method(
         recall=float(np.mean(recalls)),
         pages=mean_pages,
         cpu_ms=mean_cpu * 1e3,
-        total_ms=(mean_cpu + mean_pages * page_latency) * 1e3,
+        total_ms=(mean_cpu + mean_pages * PAGE_LATENCY_SECONDS) * 1e3,
         candidates=float(np.mean(candidates)),
     )
 
@@ -264,8 +255,6 @@ class ThroughputReport:
         loop_qps: queries/sec answering the workload one ``search`` at a time.
         batch_qps: queries/sec through ``search_many``.
         speedup: ``batch_qps / loop_qps``.
-        native_batch: whether the index has a vectorized ``search_many`` (as
-            opposed to the generic loop fallback).
         shard_seconds: per-shard wall-clock seconds of the final timed batch
             (sharded indexes only; ``None`` for single-index methods).
         latency_p50_ms / latency_p95_ms / latency_p99_ms: per-query latency
@@ -281,7 +270,6 @@ class ThroughputReport:
     loop_qps: float
     batch_qps: float
     speedup: float
-    native_batch: bool
     shard_seconds: list[float] | None = None
     latency_p50_ms: float = 0.0
     latency_p95_ms: float = 0.0
@@ -297,7 +285,7 @@ def measure_throughput(
     repeats: int = 3,
     search_kwargs: dict | None = None,
 ) -> ThroughputReport:
-    """Time the looped single-query path against ``search_many``.
+    """Time looped ``search`` (one-row batches) against one ``search_many``.
 
     Both paths answer the identical workload after one untimed warm-up each
     (first calls pay allocator and BLAS-thread start-up costs); the best of
@@ -343,7 +331,6 @@ def measure_throughput(
         loop_qps=loop_qps,
         batch_qps=batch_qps,
         speedup=batch_qps / loop_qps if loop_qps > 0 else float("inf"),
-        native_batch=has_native_batch(index),
         shard_seconds=list(shard_seconds) if shard_seconds is not None else None,
         latency_p50_ms=latency["p50_ms"],
         latency_p95_ms=latency["p95_ms"],

@@ -13,8 +13,6 @@ ablation benchmark that quantifies what the new pattern buys.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.cluster.kmeans import kmeans
@@ -101,28 +99,3 @@ class IDistanceIndex:
         dists = np.linalg.norm(vecs - query[None, :], axis=1)
         keep = dists <= radius
         return ids[keep], dists[keep]
-
-    def knn(
-        self,
-        query: np.ndarray,
-        k: int,
-        tree_counter: AccessCounter | None = None,
-        reader: VectorReader | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """k nearest neighbours by iteratively growing the search radius."""
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        k = min(k, self.n)
-        radius = max(float(self.radii.max()) / 16.0, 1e-12)
-        while True:
-            ids, dists = self.range_search(query, radius, tree_counter, reader)
-            if len(ids) >= k:
-                order = np.argsort(dists, kind="stable")[:k]
-                if dists[order[-1]] <= radius or len(ids) == self.n:
-                    return ids[order], dists[order]
-            if radius > 4.0 * (self.C * self.kp + 1.0) and len(ids) == self.n:
-                order = np.argsort(dists, kind="stable")[:k]
-                return ids[order], dists[order]
-            radius *= 2.0
-            if not math.isfinite(radius):  # pragma: no cover - defensive
-                raise RuntimeError("knn radius diverged")

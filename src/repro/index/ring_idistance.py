@@ -190,10 +190,6 @@ class RingIDistance:
         meta = self.centers.nbytes + self.max_ring.nbytes
         return self._tree.size_bytes(page_size) + descriptor_bytes + meta
 
-    def selectivity(self) -> float:
-        """Observed ``µ = 1 / (kp·Nkey·ksp)`` analogue: mean sub-partition fraction."""
-        return float(np.diff(self.sp_offsets).mean()) / self.n
-
     # ------------------------------------------------------------------ search
 
     def _candidate_subpartitions(

@@ -75,11 +75,6 @@ class Telemetry:
 
     # ------------------------------------------------------------- reporting
 
-    @property
-    def total_requests(self) -> int:
-        with self._lock:
-            return sum(self._requests.values())
-
     def snapshot(
         self,
         cache_stats: dict | None = None,

@@ -173,10 +173,6 @@ class IndexSpec:
         """JSON-ready form, the inverse of :meth:`from_dict`."""
         return {"method": self.method, "params": dict(self.params)}
 
-    def with_params(self, **overrides) -> "IndexSpec":
-        """A copy with ``overrides`` merged into the parameters."""
-        return IndexSpec(self.method, {**self.params, **overrides})
-
     def __str__(self) -> str:
         inner = ", ".join(f"{k}={self.params[k]!r}" for k in sorted(self.params))
         return f"{self.method}({inner})"

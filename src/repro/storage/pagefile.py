@@ -50,9 +50,6 @@ class AccessCounter:
     def add(self, n: int = 1) -> None:
         self.pages += n
 
-    def reset(self) -> None:
-        self.pages = 0
-
     def __repr__(self) -> str:
         return f"AccessCounter(pages={self.pages})"
 

@@ -1,7 +1,9 @@
-"""Batch/single parity: ``search_many(Q, k)`` must be *bit-identical* to
-looping ``search(q, k)`` for every index with a native batch path.
+"""Row independence: ``search(q)`` is row ``i`` of ``search_many(Q)``.
 
-This is the contract the engine's shape-stable GEMMs exist to uphold (see
+Every registered method has one query implementation, ``search_many``, and
+``search`` is its one-row batch.  "Batch equals looped search" therefore
+holds exactly when a row's answer does not depend on the rest of its batch —
+which is what the engine's shape-stable GEMMs exist to keep (see
 ``repro.core.engine``): not approximately equal — ``np.array_equal`` on ids
 and scores, and matching per-query page/candidate accounting.
 """
@@ -13,13 +15,25 @@ import pytest
 
 from repro.api import BatchResult, SearchStats
 from repro.baselines.exact import ExactMIPS
-from repro.baselines.h2alsh import H2ALSH
 from repro.baselines.pq import PQBasedMIPS
-from repro.baselines.rangelsh import RangeLSH
 from repro.baselines.simhash import SimHashMIPS
-from repro.core.batch import has_native_batch
 from repro.core.dynamic import DynamicProMIPS
 from repro.core.promips import ProMIPS, ProMIPSParams
+from repro.spec import build_index, registered_methods
+
+# One small spec per registered method, sized for the 1200×24 workload.  A
+# newly registered method fails `test_specs_cover_every_method` until it
+# gets an entry here, and with it parity coverage.
+PARITY_SPECS = {
+    "promips": "promips(m=5, kp=3, n_key=10, ksp=4)",
+    "dynamic": "dynamic(m=5, kp=3, n_key=10, ksp=4)",
+    "sharded": "sharded(inner='promips(m=5, kp=3, n_key=10, ksp=4)', shards=3)",
+    "exact": "exact()",
+    "pq": "pq(n_coarse=12, n_centroids=32, min_local_train=64)",
+    "simhash": "simhash()",
+    "h2alsh": "h2alsh()",
+    "rangelsh": "rangelsh()",
+}
 
 
 def assert_batch_matches_loop(index, queries, k, **kwargs):
@@ -42,27 +56,72 @@ def workload(latent_small):
 
 
 @pytest.fixture(scope="module")
-def native_indexes(workload):
+def registry_indexes(workload):
     data, _ = workload
     return {
-        "promips": ProMIPS.build(
-            data, ProMIPSParams(m=5, kp=3, n_key=10, ksp=4), rng=1
-        ),
-        "exact": ExactMIPS(data),
-        "pq": PQBasedMIPS(
-            data, rng=3, n_coarse=12, n_centroids=32, min_local_train=64
-        ),
-        "simhash": SimHashMIPS(data, rng=3),
+        name: build_index(spec, data, rng=3) for name, spec in PARITY_SPECS.items()
     }
 
 
+@pytest.fixture(scope="module")
+def native_indexes(registry_indexes):
+    return {
+        name: registry_indexes[name] for name in ("promips", "exact", "pq", "simhash")
+    }
+
+
+def test_specs_cover_every_method():
+    assert set(PARITY_SPECS) == set(registered_methods())
+
+
 class TestNativeParity:
-    @pytest.mark.parametrize("name", ["promips", "exact", "pq", "simhash"])
-    def test_bit_identical_to_loop(self, native_indexes, workload, name):
+    """``search`` is row ``i`` of ``search_many`` for every registered
+    method, then the same contract on edge inputs."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_SPECS))
+    def test_bit_identical_to_loop(self, registry_indexes, workload, name):
         _, queries = workload
-        index = native_indexes[name]
-        assert has_native_batch(index)
-        assert_batch_matches_loop(index, queries, k=7)
+        assert_batch_matches_loop(registry_indexes[name], queries, k=7)
+
+    @pytest.mark.parametrize("name", sorted(PARITY_SPECS))
+    def test_single_query_is_a_one_row_batch(self, registry_indexes, workload, name):
+        _, queries = workload
+        index = registry_indexes[name]
+        batch = index.search_many(queries[0], k=5)
+        assert len(batch) == 1
+        single = index.search(queries[0], k=5)
+        assert np.array_equal(single.ids, batch[0].ids)
+        assert np.array_equal(single.scores, batch[0].scores)
+
+    @pytest.mark.parametrize("name", sorted(PARITY_SPECS))
+    def test_search_rejects_nested_queries(self, registry_indexes, workload, name):
+        # A query is one (d,) vector or one (1, d) row — never a matrix or a
+        # column that merely holds d numbers.
+        _, queries = workload
+        index = registry_indexes[name]
+        q = queries[0]
+        assert np.array_equal(
+            index.search(q[None, :], k=3).ids, index.search(q, k=3).ids
+        )
+        for bad in (q.reshape(2, -1), q.reshape(-1, 1), q[None, None, :]):
+            with pytest.raises(ValueError, match="query must be"):
+                index.search(bad, k=3)
+
+    def test_dynamic_parity_survives_mutations(self, workload):
+        # Parity must survive every mutable state: delta-only,
+        # tombstones-only, and both at once.
+        data, queries = workload
+        index = DynamicProMIPS(
+            data[:500], ProMIPSParams(m=5, kp=3, n_key=10, ksp=4), rng=1
+        )
+        index.insert(data[900])
+        assert_batch_matches_loop(index, queries[:3], k=5)
+        index.delete(7)
+        index.delete(300)
+        assert_batch_matches_loop(index, queries[:3], k=5)
+        for row in data[901:905]:
+            index.insert(row)
+        assert_batch_matches_loop(index, queries[:4], k=6)
 
     @pytest.mark.parametrize("name", ["promips", "exact", "pq", "simhash"])
     def test_single_row_batch(self, native_indexes, workload, name):
@@ -133,44 +192,12 @@ class TestNativeParity:
         with pytest.raises(ValueError):
             index.search_many(np.ones((2, 10)), k=3)
 
-    def test_empty_batch_is_uniformly_empty(self, native_indexes):
-        for name, index in native_indexes.items():
+    def test_empty_batch_is_uniformly_empty(self, registry_indexes):
+        for name, index in registry_indexes.items():
             batch = index.search_many(np.empty((0, index.dim)), k=3)
             assert batch.ids.shape == (0, 0), name
             assert batch.scores.shape == (0, 0), name
             assert batch.stats == [], name
-
-
-class TestFallbackParity:
-    def test_h2alsh_fallback(self, workload):
-        data, queries = workload
-        index = H2ALSH(data[:600], rng=3)
-        assert not has_native_batch(index)
-        assert_batch_matches_loop(index, queries[:3], k=5)
-
-    def test_rangelsh_fallback(self, workload):
-        data, queries = workload
-        index = RangeLSH(data, rng=3)
-        assert not has_native_batch(index)
-        assert_batch_matches_loop(index, queries[:4], k=5)
-
-    def test_dynamic_is_native_and_bit_identical(self, workload):
-        # Dynamic grew a native batch path (one-GEMM delta scan + vectorized
-        # tombstone-masked merge); parity must survive every mutable state:
-        # delta-only, tombstones-only, and both at once.
-        data, queries = workload
-        index = DynamicProMIPS(
-            data[:500], ProMIPSParams(m=5, kp=3, n_key=10, ksp=4), rng=1
-        )
-        assert has_native_batch(index)
-        index.insert(data[900])
-        assert_batch_matches_loop(index, queries[:3], k=5)
-        index.delete(7)
-        index.delete(300)
-        assert_batch_matches_loop(index, queries[:3], k=5)
-        for row in data[901:905]:
-            index.insert(row)
-        assert_batch_matches_loop(index, queries[:4], k=6)
 
 
 class TestBatchResult:

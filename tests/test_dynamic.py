@@ -63,9 +63,16 @@ class TestInsert:
         assert float(np.mean(ratios)) >= 0.9
 
     def test_insert_validates_dimension(self, dyn):
-        _, index = dyn
-        with pytest.raises(ValueError):
-            index.insert(np.ones(10))
+        # A (2, 12) matrix or a (24, 1) column holds 24 numbers but is not
+        # a vector; only (24,) and one (1, 24) row are.
+        data, index = dyn
+        n_live = index.n_live
+        for bad in (np.ones(10), data[900].reshape(2, -1), data[900].reshape(-1, 1)):
+            with pytest.raises(ValueError):
+                index.insert(bad)
+        assert index.n_live == n_live
+        index.insert(data[900][None, :])
+        assert index.n_live == n_live + 1
 
     def test_insert_rejects_overflowing_norm(self, dyn):
         data, index = dyn

@@ -48,14 +48,11 @@ class TestRegistryConfigs:
         assert len(result) == 5
 
     def test_promips_params_override(self):
-        from repro.eval.harness import default_registry as build_registry
-
-        registry = build_registry(
-            c=0.8, p=0.7, promips_params=ProMIPSParams(c=0.8, p=0.7, m=4)
-        )
+        registry = default_registry()
         small = load_dataset("netflix", n=500, dim=16, n_queries=2)
-        index = registry.build("ProMIPS", small, seed=1)
+        index = registry.build("promips(c=0.8, p=0.7, m=4)", small, seed=1)
         assert index.params.c == 0.8
+        assert index.params.p == 0.7
         assert index.m == 4
 
 

@@ -57,22 +57,3 @@ class TestRangeSearch:
         index.range_search(np.zeros(6), 2.0, tree_counter=counter, reader=reader)
         assert counter.pages > 0
         assert reader.pages_touched > 0
-
-
-class TestKnn:
-    @pytest.mark.parametrize("k", [1, 5, 20])
-    def test_matches_brute_force(self, index, points, k):
-        query = np.random.default_rng(99).standard_normal(6)
-        ids, dists = index.knn(query, k)
-        brute = np.linalg.norm(points - query, axis=1)
-        expected = np.sort(brute)[:k]
-        assert np.allclose(np.sort(dists), expected, atol=1e-9)
-
-    def test_k_capped_at_n(self, points):
-        small = IDistanceIndex(points[:10], 2, np.random.default_rng(5))
-        ids, _ = small.knn(np.zeros(6), 50)
-        assert len(ids) == 10
-
-    def test_rejects_bad_k(self, index):
-        with pytest.raises(ValueError):
-            index.knn(np.zeros(6), 0)

@@ -25,8 +25,6 @@ class TestAccessCounter:
         counter.add()
         counter.add(4)
         assert counter.pages == 5
-        counter.reset()
-        assert counter.pages == 0
 
 
 class TestVectorStoreLayout:

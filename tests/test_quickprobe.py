@@ -9,6 +9,11 @@ from repro.core.binary_codes import BinaryCodeGroups
 from repro.core.quickprobe import ProbeOutcome, QuickProbe
 
 
+def probe_one(qp, query_projected, query_l1, c, p):
+    """Algorithm 2 for one query: a one-row ``probe_many``."""
+    return qp.probe_many(query_projected[None, :], np.array([query_l1]), c, p)[0]
+
+
 @pytest.fixture(scope="module")
 def probe_setup():
     gen = np.random.default_rng(31)
@@ -23,9 +28,7 @@ def probe_setup():
 class TestProbe:
     def test_returns_valid_point(self, probe_setup):
         data, projected, l1, groups, qp = probe_setup
-        q = np.random.default_rng(1).standard_normal(20)
-        matrix_q = projected[0] * 0  # placeholder — use a member projection
-        outcome = qp.probe(projected[3], float(np.abs(data[3]).sum()), c=0.9, p=0.5)
+        outcome = probe_one(qp, projected[3], float(np.abs(data[3]).sum()), c=0.9, p=0.5)
         assert isinstance(outcome, ProbeOutcome)
         assert 0 <= outcome.point_id < len(data)
         assert outcome.groups_examined >= 1
@@ -36,7 +39,7 @@ class TestProbe:
             q_proj = np.random.default_rng(seed).standard_normal(5) * 5
             q_l1 = float(np.random.default_rng(seed + 100).uniform(1, 30))
             for p in (0.3, 0.7):
-                outcome = qp.probe(q_proj, q_l1, c=0.9, p=p)
+                outcome = probe_one(qp, q_proj, q_l1, c=0.9, p=p)
                 threshold = qp.chi2.ppf(p)
                 if outcome.passed:
                     assert outcome.test_value >= threshold - 1e-12
@@ -49,7 +52,7 @@ class TestProbe:
         data, projected, l1, groups, qp = probe_setup
         # A huge query 1-norm makes Test A's denominator enormous, so no
         # group can pass; the probe must fall back gracefully.
-        outcome = qp.probe(np.zeros(5), 1e9, c=0.9, p=0.9)
+        outcome = probe_one(qp, np.zeros(5), 1e9, c=0.9, p=0.9)
         assert not outcome.passed
         assert outcome.groups_examined == groups.n_groups
         assert 0 <= outcome.point_id < len(data)
@@ -61,7 +64,7 @@ class TestProbe:
         q_proj = np.random.default_rng(77).standard_normal(5) * 0.1
         q_l1 = 0.05  # small denominator → many groups pass
         c, p = 0.9, 0.3
-        outcome = qp.probe(q_proj, q_l1, c=c, p=p)
+        outcome = probe_one(qp, q_proj, q_l1, c=c, p=p)
         if outcome.passed:
             lbs = groups.lower_bounds(q_proj)
             threshold = qp.chi2.ppf(p)
@@ -77,11 +80,11 @@ class TestProbe:
     def test_rejects_bad_parameters(self, probe_setup):
         *_, qp = probe_setup
         with pytest.raises(ValueError):
-            qp.probe(np.zeros(5), 1.0, c=1.0, p=0.5)
+            probe_one(qp, np.zeros(5), 1.0, c=1.0, p=0.5)
         with pytest.raises(ValueError):
-            qp.probe(np.zeros(5), 1.0, c=0.9, p=0.0)
+            probe_one(qp, np.zeros(5), 1.0, c=0.9, p=0.0)
         with pytest.raises(ValueError):
-            qp.probe(np.zeros(5), -1.0, c=0.9, p=0.5)
+            probe_one(qp, np.zeros(5), -1.0, c=0.9, p=0.5)
 
     def test_n_groups_property(self, probe_setup):
         *_, groups, qp = probe_setup[2:]

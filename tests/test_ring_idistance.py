@@ -64,9 +64,6 @@ class TestBuild:
         with pytest.raises(ValueError):
             RingIDistance(points, 3, 0, 3, np.random.default_rng(1))
 
-    def test_selectivity_in_unit_interval(self, ring):
-        assert 0.0 < ring.selectivity() < 1.0
-
     def test_index_size_positive(self, ring):
         assert ring.index_size_bytes(4096) > 0
 

@@ -244,6 +244,21 @@ class TestMutationEndpoints:
     @pytest.mark.parametrize(
         "spec", [EDGE_SPECS["dynamic"], "sharded(inner='dynamic()', shards=2)"]
     )
+    def test_nested_vectors_rejected(self, serve, spec):
+        # A matrix or a column that merely holds DIM numbers is not a
+        # vector: both verbs answer 400 and nothing is inserted.
+        client, data = self._dynamic_client(serve, spec=spec)
+        n_live = client.get("/healthz")[1]["n_live"]
+        for bad in (data[0].reshape(2, -1), data[0].reshape(-1, 1)):
+            code, payload = client.post("/insert", {"vector": bad.tolist()})
+            assert code == 400 and "must be" in payload["error"]
+            code, payload = client.post("/search", {"query": bad.tolist(), "k": 2})
+            assert code == 400 and "must be" in payload["error"]
+        assert client.get("/healthz")[1]["n_live"] == n_live
+
+    @pytest.mark.parametrize(
+        "spec", [EDGE_SPECS["dynamic"], "sharded(inner='dynamic()', shards=2)"]
+    )
     def test_overflowing_norm_rejected(self, serve, spec):
         # Finite entries whose squared norm overflows would score Infinity
         # (not valid JSON) on every later search if the insert were taken.

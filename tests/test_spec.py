@@ -86,10 +86,6 @@ class TestParse:
         with pytest.raises(TypeError):
             IndexSpec.coerce(42)
 
-    def test_with_params(self):
-        spec = IndexSpec.parse("promips(c=0.9)").with_params(p=0.5, c=0.8)
-        assert spec.params == {"c": 0.8, "p": 0.5}
-
     def test_numpy_scalars_normalised(self):
         spec = IndexSpec("pq", {"n_coarse": np.int64(8), "f": np.float64(0.5)})
         assert type(spec.params["n_coarse"]) is int
