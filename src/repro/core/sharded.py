@@ -12,9 +12,9 @@ where exact MIPS serving wins.
 (contiguous ranges or a deterministic multiplicative hash of the point id),
 builds **any** spec-described method per shard through
 :func:`repro.spec.build_index`, and answers ``search``/``search_many`` by
-fanning the query set out over the shards — a thread pool, since
-NumPy releases the GIL inside the BLAS kernels every shard leans on — and
-exact-merging the per-shard top-k lists.
+fanning the query set out over the shards on one long-lived thread pool per
+index (NumPy releases the GIL inside the BLAS kernels every shard leans
+on) and exact-merging the per-shard top-k lists.
 
 The merge is *bit-identical* to the unsharded index for exact inner methods:
 shard-local scores come out of the same fixed-shape GEMM panels the full
@@ -39,6 +39,7 @@ own ``state()``, so a sharded index round-trips through the same
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -148,6 +149,11 @@ class ShardedIndex:
         # Wall-clock seconds each shard spent answering the last
         # ``search_many`` call (the throughput harness reports these).
         self.last_shard_seconds: list[float] | None = None
+        # One fan-out pool for the index's lifetime: a pool per call would
+        # spawn and join threads on every served query.  Its idle workers
+        # exit when the index (and so the pool) is collected.
+        self._pool: ThreadPoolExecutor | None = None
+        self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------ build
 
@@ -290,9 +296,10 @@ class ShardedIndex:
         """Fan a batch out over the shards and merge per query.
 
         Each shard answers the *whole* batch through its own
-        ``search_many``; shards run concurrently on a thread pool
-        ``min(n_shards, cpu_count)`` wide (BLAS releases the GIL, so
-        per-shard GEMMs overlap on real cores).  Per-shard wall-clock
+        ``search_many``; shards run concurrently on the index's long-lived
+        thread pool, ``min(n_shards, cpu_count)`` wide (BLAS releases the
+        GIL, so per-shard GEMMs overlap on real cores).  A width of one
+        runs every shard on the calling thread.  Per-shard wall-clock
         seconds land in :attr:`last_shard_seconds`.
 
         Args:
@@ -318,12 +325,21 @@ class ShardedIndex:
         # would only oversubscribe.
         width = min(self.n_shards, os.cpu_count() or 1)
         if width > 1:
-            with ThreadPoolExecutor(max_workers=width) as pool:
-                shard_batches = list(pool.map(run_shard, range(self.n_shards)))
+            pool = self._fanout_pool(width)
+            shard_batches = list(pool.map(run_shard, range(self.n_shards)))
         else:
             shard_batches = [run_shard(s) for s in range(self.n_shards)]
         self.last_shard_seconds = timings
         return self._merge_batches(shard_batches, queries.shape[0], k)
+
+    def _fanout_pool(self, width: int) -> ThreadPoolExecutor:
+        """The index's fan-out pool, created ``width`` wide on first use."""
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=width, thread_name_prefix="shard-fanout"
+                )
+            return self._pool
 
     def _merge_batches(
         self, shard_batches: list[BatchResult], n_q: int, k: int

@@ -11,9 +11,12 @@ float64 score crosses the wire without loss.
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +26,7 @@ import pytest
 
 from repro.core.persist import save_index
 from repro.serve import ServingRuntime, build_runtime, make_server
+from repro.serve.server import _Handler
 from repro.spec import build_index, registered_methods
 
 from test_k_clamp import EDGE_SPECS
@@ -494,6 +498,127 @@ class TestHTTPErrors:
         client.post("/search", {"k": 3})
         code, stats = client.get("/stats")
         assert stats["errors_by_endpoint"]["search"] >= 1
+
+
+class TestTransport:
+    """Keep-alive replies leave in one write, so none waits on a delayed ACK."""
+
+    @pytest.fixture()
+    def served(self, serve):
+        index, _, queries = _build("exact")
+        client = serve(ServingRuntime(index))
+        return int(client.base.rsplit(":", 1)[1]), queries
+
+    @staticmethod
+    def _round_trip(conn, method, path, payload=None):
+        body = None if payload is None else json.dumps(payload).encode()
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        conn.request(method, path, body=body, headers=headers)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+
+    def test_keep_alive_round_trip_does_not_stall(self, served):
+        # A reply split into head and body writes under Nagle's algorithm
+        # waits ~40 ms for the client's delayed ACK on every round trip.
+        port, queries = served
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        q = queries[0].tolist()
+        seconds = []
+        try:
+            for i in range(30):
+                start = time.perf_counter()
+                if i % 2:
+                    code, _ = self._round_trip(conn, "GET", "/healthz")
+                else:
+                    body = {"query": q, "k": 3}
+                    code, _ = self._round_trip(conn, "POST", "/search", body)
+                seconds.append(time.perf_counter() - start)
+                assert code == 200
+        finally:
+            conn.close()
+        assert statistics.median(seconds) < 0.020
+
+    def test_each_reply_is_one_write_on_a_nodelay_socket(
+        self, served, monkeypatch
+    ):
+        port, queries = served
+        writes, nodelay = [], []
+        setup = _Handler.setup
+
+        def counting_setup(handler):
+            setup(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ))
+            write = handler.wfile.write
+
+            def counted(data):
+                writes.append(bytes(data))
+                return write(data)
+
+            handler.wfile.write = counted
+
+        monkeypatch.setattr(_Handler, "setup", counting_setup)
+        q = queries[0].tolist()
+        requests = [
+            ("GET", "/healthz", None, 200),
+            ("GET", "/stats", None, 200),
+            ("POST", "/search", {"query": q, "k": 3}, 200),
+            ("POST", "/search_batch", {"queries": [q, q], "k": 3}, 200),
+            ("POST", "/search", {"k": 3}, 400),
+            ("POST", "/delete", {"id": 1}, 400),
+            ("GET", "/nope", None, 404),
+        ]
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            for method, path, payload, expected in requests:
+                code, _ = self._round_trip(conn, method, path, payload)
+                assert code == expected
+        finally:
+            conn.close()
+        assert len(nodelay) == 1 and nodelay[0] != 0
+        assert len(writes) == len(requests)
+        assert all(w.startswith(b"HTTP/1.1 ") for w in writes)
+
+    def test_chunked_body_is_411_and_closes(self, served):
+        # A chunked body is not read, so answering it and keeping the
+        # connection would parse the chunks as the next request.
+        port, queries = served
+        body = json.dumps({"query": queries[0].tolist(), "k": 3}).encode()
+        request = (
+            b"POST /search HTTP/1.1\r\nHost: localhost\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n"
+            + b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+        )
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(4096):  # EOF: the server closed
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 411")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in reply
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert "Transfer-Encoding" in json.loads(payload)["error"]
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{port}/stats", timeout=30
+        ) as resp:
+            stats = json.loads(resp.read())
+        assert stats["errors_by_endpoint"] == {"search": 1}
+
+    def test_unknown_post_path_consumes_its_body(self, served):
+        # The 404 must still read the body, or a keep-alive connection
+        # parses it as the start of the next request.
+        port, _ = served
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            code, payload = self._round_trip(conn, "POST", "/nope", {"k": 1})
+            assert code == 404 and "unknown path" in payload["error"]
+            code, health = self._round_trip(conn, "GET", "/healthz")
+            assert code == 200 and health["status"] == "ok"
+        finally:
+            conn.close()
 
 
 class TestServerFailures:

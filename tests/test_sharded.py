@@ -8,6 +8,10 @@ including counts that do not divide ``n``.
 
 from __future__ import annotations
 
+import gc
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -189,6 +193,44 @@ class TestEdges:
         assert threading.get_ident() not in pool_threads
         assert np.array_equal(pooled.ids, sequential.ids)
         assert np.array_equal(pooled.scores, sequential.scores)
+
+    @staticmethod
+    def _record_threads(sharded) -> list:
+        # Thread objects, not OS ids: the OS reuses the ids of exited threads.
+        seen = []
+        for shard in sharded.shards:
+            inner = shard.search_many
+
+            def spy(*args, _inner=inner, **kwargs):
+                seen.append(threading.current_thread())
+                return _inner(*args, **kwargs)
+
+            shard.search_many = spy
+        return seen
+
+    def test_fanout_pool_is_reused_across_calls(self, workload, monkeypatch):
+        data, queries = workload
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        sharded = ShardedIndex.build(data, inner="exact()", shards=2, rng=1)
+        seen = self._record_threads(sharded)
+        for _ in range(20):
+            sharded.search_many(queries[:3], k=5)
+        assert len(seen) == 40
+        assert len(set(seen)) <= 2
+        assert threading.current_thread() not in seen
+
+    def test_fanout_workers_exit_with_the_index(self, workload, monkeypatch):
+        data, queries = workload
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        sharded = ShardedIndex.build(data, inner="exact()", shards=2, rng=1)
+        seen = self._record_threads(sharded)
+        sharded.search_many(queries[:3], k=5)
+        workers = set(seen)
+        del sharded, seen
+        gc.collect()
+        for thread in workers:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
 
     def test_n_threads_is_rejected(self, workload):
         data, _ = workload
