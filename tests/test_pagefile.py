@@ -192,6 +192,27 @@ class TestPageBitmap:
         reader.get_many(np.array([3]))
         assert reader.pages_touched == len(store.pages_of(3))
 
+    @pytest.mark.parametrize(
+        "dim, page_size",
+        [(6, 4096), (5, 256), (6, 16), (300, 256), (64, 100)],  # straddling; 3+ pages wide
+    )
+    def test_slot_runs_charge_their_points_pages(self, dim, page_size):
+        gen = np.random.default_rng(dim + page_size)
+        n = 3000
+        layout = gen.permutation(n)
+        store = VectorStore(np.zeros((n, dim)), page_size=page_size, layout_order=layout)
+        assert store.reader().layout_order is store._layout_order
+        for _ in range(5):
+            # Sorted, disjoint runs including empty ones at unaligned slots.
+            edges = np.sort(gen.choice(n + 1, size=2 * int(gen.integers(1, 40)),
+                                       replace=False))
+            starts, stops = edges[0::2], edges[1::2]
+            stops[::3] = starts[::3]
+            runs, by_ids = store.reader(), store.reader()
+            runs.charge_slot_runs(starts, stops)
+            by_ids.charge(layout[expand_runs(starts, stops)])
+            assert np.array_equal(runs._touched, by_ids._touched)
+
     def test_charge_counts_pages_and_vectors_is_the_store(self):
         store = _store()  # 4 points/page
         reader = store.reader()

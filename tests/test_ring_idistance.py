@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.promips import ProMIPS, ProMIPSParams
-from repro.index.ring_idistance import RingIDistance
+from repro.index.ring_idistance import RingIDistance, column_distances
 from repro.storage.pagefile import AccessCounter, VectorStore
 
 
@@ -63,6 +63,12 @@ class TestBuild:
     def test_rejects_bad_nkey(self, points):
         with pytest.raises(ValueError):
             RingIDistance(points, 3, 0, 3, np.random.default_rng(1))
+
+    def test_from_state_rejects_descending_keys(self, ring, points):
+        # Slot order is B+-tree traversal order only while keys ascend.
+        state = {**ring.state(), "sp_keys": ring.sp_keys[::-1].copy()}
+        with pytest.raises(ValueError, match="non-decreasing"):
+            RingIDistance.from_state(points, state)
 
     def test_index_size_positive(self, ring):
         assert ring.index_size_bytes(4096) > 0
@@ -147,14 +153,136 @@ class TestRunReads:
             assert np.array_equal(runs._touched, by_ids._touched)
 
 
-def _reference_range_search(ring, points, query, radius, min_radius):
-    """Member-by-member candidate read + distance test + stable sort."""
-    chosen = ring._candidate_subpartitions(query, radius, None)
-    ids = np.concatenate([ring.members(i) for i in chosen])
-    dists = np.linalg.norm(points[ids] - query[None, :], axis=1)
+def _unbounded(ring, points):
+    """A copy of ``ring`` whose sub-partition spheres contain everything, so
+    its candidate set is exactly the sub-partitions the B+-tree walk reaches."""
+    state = {**ring.state(), "sp_radii": np.full(ring.n_subpartitions, np.inf)}
+    return RingIDistance.from_state(points, state)
+
+
+def _reference_range_search(ring, points, query, radius, min_radius,
+                            reader=None, unbounded=None):
+    """Tree walk, ``np.linalg.norm`` sphere test, member-by-member read,
+    ``np.linalg.norm`` distances and a stable sort.
+
+    Returns ids, distances and the B+-tree pages of the walk; ``reader``, if
+    given, is charged through ``get_many`` one sub-partition at a time.
+    """
+    unbounded = unbounded or _unbounded(ring, points)
+    counter = AccessCounter()
+    reached = unbounded._candidate_subpartitions(query, radius, counter)
+    pivot_dists = np.linalg.norm(ring.sp_pivots[reached] - query[None, :], axis=1)
+    chosen = reached[pivot_dists <= radius + ring.sp_radii[reached]]
+    members = [ring.members(i) for i in chosen]
+    rows = [
+        reader.get_many(ids) if reader is not None else points[ids] for ids in members
+    ]
+    ids = np.concatenate(members) if members else np.empty(0, dtype=np.int64)
+    vecs = np.concatenate(rows) if rows else np.empty((0, ring.dim))
+    dists = np.linalg.norm(vecs - query[None, :], axis=1)
     mask = (dists <= radius) & (dists > min_radius)
     order = np.argsort(dists[mask], kind="stable")
-    return ids[mask][order], dists[mask][order]
+    return ids[mask][order], dists[mask][order], counter.pages
+
+
+class TestColumnDistances:
+    """The range-search kernel against ``np.linalg.norm`` byte for byte: it
+    re-creates numpy's summation order, so numpy drift shows here."""
+
+    @pytest.mark.parametrize("m", [*range(1, 25), 64, 129, 300])
+    def test_matches_linalg_norm_bytes(self, m):
+        gen = np.random.default_rng(m)
+        n = 500
+        scales = np.logspace(-3, 3, n)[gen.permutation(n), None]
+        points = gen.standard_normal((n, m)) * scales
+        points[n // 2 :: 7] = points[n // 2]  # coincident points
+        columns = np.ascontiguousarray(points.T)
+        for query in (gen.standard_normal(m), gen.standard_normal(m) * 1e3,
+                      gen.standard_normal(m) * 1e-3, points[3].copy()):
+            got = column_distances(columns, query)
+            want = np.linalg.norm(points - query[None, :], axis=1)
+            assert got.tobytes() == want.tobytes()
+        # A query equal to a row is at distance 0 from it and its copies.
+        assert column_distances(columns, points[3])[3] == 0.0
+        assert np.all(column_distances(columns, points[n // 2])[n // 2 :: 7] == 0.0)
+
+    def test_column_slices(self):
+        gen = np.random.default_rng(5)
+        columns = gen.standard_normal((6, 1000))
+        query = gen.standard_normal(6)
+        got = column_distances(columns[:, 123:877], query)
+        want = np.linalg.norm(columns.T[123:877] - query[None, :], axis=1)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestRangeSearchReference:
+    """Range search against the member-by-member reference: equal ids,
+    distance bytes, B+-tree pages and touched-page bitmap, for rings built
+    by ProMIPS and restored from state, over stores in the ring's own layout
+    (charged run by run) and in other layouts (charged point by point)."""
+
+    @pytest.fixture(
+        scope="class", params=["promips()", "promips(m=10)", "from_state", "point_spheres"]
+    )
+    def case(self, request):
+        data = np.random.default_rng(41).standard_normal((2500, 24))
+        m = 10 if request.param == "promips(m=10)" else None
+        index = ProMIPS.build(data, ProMIPSParams(m=m), rng=42)
+        points = index.projection.project(data)
+        ring = index.ring
+        if request.param == "from_state":
+            ring = RingIDistance.from_state(points, ring.state())
+        elif request.param == "point_spheres":
+            # Zero radii make the sphere test drop sub-partitions that hold
+            # in-range points, so only the chosen-run mask keeps them out.
+            state = {**ring.state(), "sp_radii": np.zeros(ring.n_subpartitions)}
+            ring = RingIDistance.from_state(points, state)
+        return ring, points, _unbounded(ring, points)
+
+    @pytest.mark.parametrize("layout", ["ring", "identity", "shuffled"])
+    @pytest.mark.parametrize("page_size", [4096, 16])
+    def test_matches_reference(self, case, layout, page_size):
+        ring, points, unbounded = case
+        n = len(points)
+        order = {
+            "ring": ring.layout_order,
+            "identity": None,
+            "shuffled": np.random.default_rng(43).permutation(n),
+        }[layout]
+        store = VectorStore(points, page_size=page_size, layout_order=order)
+        gen = np.random.default_rng(page_size)
+        queries = [points[int(gen.integers(0, n))].copy(),
+                   gen.standard_normal(ring.dim) * points.std()]
+        for query in queries:
+            spread = np.linalg.norm(points - query[None, :], axis=1)
+            radii = np.quantile(spread, [0.01, 0.2, 0.6, 1.0])
+            for radius, min_radius in ((radii[0], -1.0), (radii[1], -1.0),
+                                       (radii[2], radii[1]), (radii[3], radii[2]),
+                                       (0.0, -1.0)):
+                counter, reader = AccessCounter(), store.reader()
+                ids, dists = ring.range_search(query, radius, counter, reader,
+                                               min_radius=min_radius)
+                ref_reader = store.reader()
+                ref_ids, ref_dists, ref_pages = _reference_range_search(
+                    ring, points, query, radius, min_radius, ref_reader, unbounded
+                )
+                assert np.array_equal(ids, ref_ids)
+                assert dists.tobytes() == ref_dists.tobytes()
+                assert counter.pages == ref_pages
+                assert np.array_equal(reader._touched, ref_reader._touched)
+
+    def test_no_reader_matches_reference(self, case):
+        ring, points, unbounded = case
+        gen = np.random.default_rng(44)
+        for _ in range(5):
+            query = points[int(gen.integers(0, len(points)))]
+            radius = float(gen.uniform(0.1, 3.0))
+            ids, dists = ring.range_search(query, radius, min_radius=-1.0)
+            ref_ids, ref_dists, _ = _reference_range_search(
+                ring, points, query, radius, -1.0, unbounded=unbounded
+            )
+            assert np.array_equal(ids, ref_ids)
+            assert dists.tobytes() == ref_dists.tobytes()
 
 
 class TestDuplicateRows:
@@ -175,7 +303,7 @@ class TestDuplicateRows:
         for radius, min_radius in ((1.0, -1.0), (2.0, 0.5), (4.0, -1.0)):
             query = dup_points[int(gen.integers(0, len(dup_points)))]
             ids, dists = ring.range_search(query, radius, min_radius=min_radius)
-            ref_ids, ref_dists = _reference_range_search(
+            ref_ids, ref_dists, _ = _reference_range_search(
                 ring, dup_points, query, radius, min_radius
             )
             assert np.array_equal(ids, ref_ids)
