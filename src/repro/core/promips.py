@@ -101,8 +101,9 @@ class ProMIPS:
     spec) or :meth:`from_state`; both end in the constructor, which takes the
     two artefacts that cost k-means or random draws — the projection and the
     ring iDistance over ``projected`` — and derives the rest: the binary-code
-    groups and Quick-Probe, both paged stores in the ring's disk layout, and
-    ``max_norm_sq``.
+    groups and Quick-Probe, the paged store of the original vectors in the
+    ring's disk layout, and ``max_norm_sq``.  The projected points are kept
+    once, as the ring's slot-ordered page file.
     """
 
     def __init__(
@@ -123,10 +124,6 @@ class ProMIPS:
         self.quickprobe = QuickProbe(self.groups)
         self.orig_store = VectorStore(
             data, params.page_size, layout_order=ring.layout_order, label="promips-orig"
-        )
-        self.proj_store = VectorStore(
-            projected, params.page_size, layout_order=ring.layout_order,
-            label="promips-proj",
         )
         self.max_norm_sq = float(np.einsum("ij,ij->i", data, data).max())
         self._chi2 = self.quickprobe.chi2
@@ -170,6 +167,7 @@ class ProMIPS:
             rng=rng,
             epsilon=params.epsilon,
             order=params.tree_order,
+            page_size=params.page_size,
         )
         return cls(data, params, projection, projected, ring)
 
@@ -217,7 +215,9 @@ class ProMIPS:
 
         projection = StableProjection.from_matrix(state["projection_matrix"])
         projected = projection.project(data)
-        ring = RingIDistance.from_state(projected, ring_state, order=params.tree_order)
+        ring = RingIDistance.from_state(
+            projected, ring_state, order=params.tree_order, page_size=params.page_size
+        )
         return cls(data, params, projection, projected, ring)
 
     # ------------------------------------------------------------------- size
@@ -225,17 +225,17 @@ class ProMIPS:
     def index_size_bytes(self) -> int:
         """Everything a query needs besides the original data file:
 
-        the projected points organised on disk, the Quick-Probe group
-        summaries (Algorithm 2 only touches each group's min-ℓ1
-        representative), the projection matrix, and the iDistance
-        structures.  The per-point binary codes and 1-norms of §VII are
-        pre-processing intermediates folded into the group summaries.
+        the Quick-Probe group summaries (Algorithm 2 only touches each
+        group's min-ℓ1 representative), the projection matrix, and the ring
+        iDistance: its projected page file (``n · m`` float32 components in
+        sub-partition order) and its structures.  The per-point binary codes
+        and 1-norms of §VII are pre-processing intermediates folded into the
+        group summaries.
         """
         return (
-            self.proj_store.size_bytes
-            + self.groups.summary_size_bytes()
+            self.groups.summary_size_bytes()
             + self.projection.size_bytes()
-            + self.ring.index_size_bytes(self.params.page_size)
+            + self.ring.index_size_bytes()
         )
 
     # ----------------------------------------------------------------- search
@@ -259,9 +259,11 @@ class ProMIPS:
         q_norm_sq = float(query @ query)
         tree_counter = AccessCounter()
         orig_reader = self.orig_store.reader()
-        proj_reader = self.proj_store.reader()
+        proj_pages = self.ring.page_bitmap()
 
-        probe_vec = proj_reader.get(outcome.point_id)
+        # Both files share the ring's layout, so the probe's slot in the
+        # original file is its slot in the projected one.
+        probe_vec = self.ring.read_slot(self.orig_store.slot_of(outcome.point_id), proj_pages)
         radius = float(np.linalg.norm(probe_vec - q_proj))
 
         topk = TopK(k)
@@ -271,7 +273,7 @@ class ProMIPS:
         # --- first range search at the Quick-Probe radius.  min_radius is
         # strict, so the -1 sentinel keeps distance-0 (coincident) points in.
         ids, dists = self.ring.range_search(
-            q_proj, radius, tree_counter, proj_reader, min_radius=-1.0
+            q_proj, radius, tree_counter, proj_pages, min_radius=-1.0
         )
         fired, verified = self._verifier.verify(
             topk, ids, dists, query, orig_reader, c, p, q_norm_sq
@@ -301,7 +303,7 @@ class ProMIPS:
                     next_radius = 2.0 * current_radius
             expansions += 1
             ids, dists = self.ring.range_search(
-                q_proj, next_radius, tree_counter, proj_reader, min_radius=current_radius
+                q_proj, next_radius, tree_counter, proj_pages, min_radius=current_radius
             )
             fired, verified = self._verifier.verify(
                 topk, ids, dists, query, orig_reader, c, p, q_norm_sq
@@ -311,7 +313,11 @@ class ProMIPS:
 
         ids_out, ips_out = topk.result()
         stats = SearchStats(
-            pages=tree_counter.pages + orig_reader.pages_touched + proj_reader.pages_touched,
+            pages=(
+                tree_counter.pages
+                + orig_reader.pages_touched
+                + int(np.count_nonzero(proj_pages))
+            ),
             candidates=total_verified,
             extras={
                 "probe_radius": radius,
@@ -401,12 +407,12 @@ class ProMIPS:
 
         tree_counter = AccessCounter()
         orig_reader = self.orig_store.reader()
-        proj_reader = self.proj_store.reader()
+        proj_pages = self.ring.page_bitmap()
 
         topk = TopK(k)
         verified = 0
         stopped_by = "exhausted"
-        for pid, dist in self.ring.knn_iterate(q_proj, tree_counter, proj_reader):
+        for pid, dist in self.ring.knn_iterate(q_proj, tree_counter, proj_pages):
             vec = orig_reader.get(pid)
             ip = float(vec @ query)
             verified += 1
@@ -425,7 +431,11 @@ class ProMIPS:
 
         ids_out, ips_out = topk.result()
         stats = SearchStats(
-            pages=tree_counter.pages + orig_reader.pages_touched + proj_reader.pages_touched,
+            pages=(
+                tree_counter.pages
+                + orig_reader.pages_touched
+                + int(np.count_nonzero(proj_pages))
+            ),
             candidates=verified,
             extras={"stopped_by": stopped_by},
         )

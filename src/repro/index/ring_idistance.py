@@ -16,14 +16,22 @@ The B+-tree maps each ring key to the indices of its sub-partitions; every
 sub-partition is one row of the flat descriptor arrays (``sp_keys``,
 ``sp_pivots``, ``sp_radii``) and one slot run of ``layout_order``.
 
+The ring owns the projected points: they are stored once, as ``(m, n)``
+slot-ordered columns, and that is the index's projected page file.  Slot
+``s`` holds point ``layout_order[s]`` at bytes ``[s·stride, (s+1)·stride)``
+with a stride of ``m · BYTES_PER_COMPONENT``, so a sub-partition's slot run
+covers one contiguous page range.  Queries charge the pages they read to a
+per-query ``bool`` bitmap over that file (:meth:`RingIDistance.page_bitmap`):
+one closed-form page range per chosen slot run, plus the pages of the one
+slot :meth:`RingIDistance.read_slot` reads for ProMIPS' Quick-Probe radius.
+
 Keys ascend with the sub-partition index, so slot order is B+-tree traversal
 order.  The range search exploits that: at m ≈ 6 the sub-partition spheres
 are too loose to prune (a first range search keeps a median 97–99.8% of the
 points on the yahoo, netflix and sift-like corpora), so instead of gathering
 the chosen rows it computes the projected distance of every slot in the
-chosen span over an ``(m, n)`` slot-ordered column copy of the points
-(:func:`column_distances`) and masks the slots of unchosen sub-partitions
-out.
+chosen span over the columns (:func:`column_distances`) and masks the slots
+of unchosen sub-partitions out.
 """
 
 from __future__ import annotations
@@ -32,7 +40,12 @@ import numpy as np
 
 from repro.cluster.kmeans import kmeans
 from repro.index.bptree import BPlusTree
-from repro.storage.pagefile import AccessCounter, VectorReader, expand_runs
+from repro.storage.pagefile import (
+    BYTES_PER_COMPONENT,
+    DEFAULT_PAGE_SIZE,
+    AccessCounter,
+    expand_runs,
+)
 
 __all__ = ["RingIDistance", "column_distances"]
 
@@ -88,7 +101,7 @@ class RingIDistance:
     Formula 6), ``sp_pivots[i]`` and ``sp_radii[i]`` (its bounding sphere in
     the projected space); its members are the slot run
     ``layout_order[sp_offsets[i]:sp_offsets[i + 1]]`` (see :meth:`members`),
-    stored contiguously on disk in that order.
+    stored contiguously in the ring's projected page file in that order.
 
     Args:
         points: ``(n, m)`` projected points to index.
@@ -98,6 +111,7 @@ class RingIDistance:
         rng: generator for the two k-means stages.
         epsilon: ring width override; default ``r_avg / n_key`` as in §VI.
         order: B+-tree fanout.
+        page_size: page size of the projected file and the B+-tree nodes.
     """
 
     def __init__(
@@ -109,6 +123,7 @@ class RingIDistance:
         rng: np.random.Generator,
         epsilon: float | None = None,
         order: int = 64,
+        page_size: int = DEFAULT_PAGE_SIZE,
     ) -> None:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[0] == 0:
@@ -170,15 +185,28 @@ class RingIDistance:
             "sp_radii": np.array(radii),
             "sp_offsets": np.cumsum([0] + [ids.size for ids in layout]),
             "layout_order": np.concatenate(layout),
-        }, order)
+        }, order, page_size)
 
     def _install(
-        self, points: np.ndarray, state: dict[str, np.ndarray], order: int
+        self,
+        points: np.ndarray,
+        state: dict[str, np.ndarray],
+        order: int,
+        page_size: int,
     ) -> None:
         """Set the geometry arrays from :meth:`state`-shaped input, build
         the B+-tree over the sub-partition keys and lay the points out as
-        slot-ordered columns."""
+        slot-ordered columns.
+
+        Raises ``ValueError`` naming the state key that does not fit the
+        points, so an inconsistent envelope fails on load instead of on its
+        first query.
+        """
+        if page_size <= 0:
+            raise ValueError(f"page_size must be positive, got {page_size}")
         self.n, self.dim = points.shape
+        self.page_size = int(page_size)
+        self.stride_bytes = self.dim * BYTES_PER_COMPONENT
         self.centers = np.asarray(state["centers"], dtype=np.float64)
         self.kp = self.centers.shape[0]
         self.epsilon = float(state["epsilon"][0])
@@ -191,6 +219,29 @@ class RingIDistance:
         self.sp_radii = np.asarray(state["sp_radii"], dtype=np.float64)
         self.sp_offsets = np.asarray(state["sp_offsets"], dtype=np.int64)
         self.layout_order = np.asarray(state["layout_order"], dtype=np.int64)
+        if self.layout_order.shape != (self.n,):
+            raise ValueError(
+                f"layout_order has shape {self.layout_order.shape}, but there "
+                f"are {self.n} points"
+            )
+        for key in ("centers", "sp_pivots"):
+            width = getattr(self, key).shape[1]
+            if width != self.dim:
+                raise ValueError(
+                    f"{key} are {width}-dimensional, but the points are "
+                    f"{self.dim}-dimensional"
+                )
+        offsets = self.sp_offsets
+        if (
+            offsets.shape != (self.sp_keys.size + 1,)
+            or offsets[0] != 0
+            or offsets[-1] != self.n
+            or np.any(offsets[1:] < offsets[:-1])
+        ):
+            raise ValueError(
+                f"sp_offsets must run from 0 to {self.n} without decreasing, "
+                f"one entry per sub-partition plus one"
+            )
         # The range search reads slots in ascending order as B+-tree
         # traversal order, which holds because keys ascend with the index.
         if np.any(self.sp_keys[1:] < self.sp_keys[:-1]):
@@ -230,7 +281,11 @@ class RingIDistance:
 
     @classmethod
     def from_state(
-        cls, points: np.ndarray, state: dict[str, np.ndarray], order: int = 64
+        cls,
+        points: np.ndarray,
+        state: dict[str, np.ndarray],
+        order: int = 64,
+        page_size: int = DEFAULT_PAGE_SIZE,
     ) -> "RingIDistance":
         """Rebuild an index from :meth:`state` output (no clustering runs).
 
@@ -238,7 +293,7 @@ class RingIDistance:
         ``layout_order``; it is ignored.
         """
         self = object.__new__(cls)
-        self._install(np.asarray(points, dtype=np.float64), state, order)
+        self._install(np.asarray(points, dtype=np.float64), state, order, page_size)
         return self
 
     @property
@@ -249,11 +304,48 @@ class RingIDistance:
         """Point ids of sub-partition ``i``, in on-disk order (a view)."""
         return self.layout_order[self.sp_offsets[i] : self.sp_offsets[i + 1]]
 
-    def index_size_bytes(self, page_size: int) -> int:
-        """B+-tree nodes plus sub-partition descriptors (pivot, radius, extent)."""
+    def index_size_bytes(self) -> int:
+        """The projected file (``n · m`` float32 components) plus B+-tree
+        nodes and sub-partition descriptors (pivot, radius, extent)."""
         descriptor_bytes = self.sp_pivots.nbytes + 24 * self.n_subpartitions
         meta = self.centers.nbytes + self.max_ring.nbytes
-        return self._tree.size_bytes(page_size) + descriptor_bytes + meta
+        return (
+            self.n * self.stride_bytes
+            + self._tree.size_bytes(self.page_size)
+            + descriptor_bytes
+            + meta
+        )
+
+    # ------------------------------------------------------- page accounting
+
+    def page_bitmap(self) -> np.ndarray:
+        """A fresh per-query ``bool`` bitmap over the pages of the projected
+        file; the number of pages a query read is its ``count_nonzero``.
+
+        A page already charged during the query counts once (the OS buffer
+        keeps it), and queries are cold with respect to each other.
+        """
+        return np.zeros(-(-self.n * self.stride_bytes // self.page_size), dtype=bool)
+
+    def _charge_slot_runs(
+        self, pages: np.ndarray, starts: np.ndarray, stops: np.ndarray
+    ) -> None:
+        """Charge the pages of the slot runs ``[starts[i], stops[i])``.
+
+        Slots are packed back to back, so a non-empty run covers exactly
+        the pages from its first byte to its last: one page range per run,
+        whatever the run's length or the stride.
+        """
+        nonempty = stops > starts
+        firsts = starts[nonempty] * self.stride_bytes // self.page_size
+        ends = (stops[nonempty] * self.stride_bytes - 1) // self.page_size + 1
+        pages[expand_runs(firsts, ends)] = True
+
+    def read_slot(self, slot: int, pages: np.ndarray) -> np.ndarray:
+        """The coordinates stored at ``slot``, as a contiguous ``(m,)`` row;
+        charges the slot's pages to ``pages``."""
+        self._charge_slot_runs(pages, np.array([slot]), np.array([slot + 1]))
+        return self._columns[:, slot].copy()
 
     # ------------------------------------------------------------------ search
 
@@ -290,7 +382,7 @@ class RingIDistance:
         query: np.ndarray,
         radius: float,
         tree_counter: AccessCounter | None = None,
-        reader: VectorReader | None = None,
+        pages: np.ndarray | None = None,
         min_radius: float = 0.0,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Ids/distances of points with ``min_radius < dis(P(o), P(q)) <= radius``.
@@ -304,22 +396,20 @@ class RingIDistance:
         in ascending slot order.  Distances come from the ring's own
         slot-ordered columns: one :func:`column_distances` pass over the span
         from the first chosen slot to the last, masked down to the chosen
-        runs and the annulus.  ``reader`` (a store of the same projected
-        points) is only charged for the pages of the chosen runs: in closed
-        form, one page range per run, when the store is laid out in
-        :attr:`layout_order`, as ProMIPS builds it; point by point otherwise.
+        runs and the annulus.  ``pages`` (a :meth:`page_bitmap`), if given,
+        is charged the pages of the chosen runs in closed form, one page
+        range per run.
         """
         query = np.asarray(query, dtype=np.float64)
+        if query.shape != (self.dim,):
+            raise ValueError(f"query must have shape ({self.dim},), got {query.shape}")
         if not 0 <= radius < np.inf:
             raise ValueError(f"radius must be finite and non-negative, got {radius}")
         chosen = self._candidate_subpartitions(query, radius, tree_counter)
         starts = self.sp_offsets[chosen]
         stops = self.sp_offsets[chosen + 1]
-        if reader is not None:
-            if reader.layout_order is self.layout_order:
-                reader.charge_slot_runs(starts, stops)
-            else:
-                reader.charge(self.layout_order[expand_runs(starts, stops)])
+        if pages is not None:
+            self._charge_slot_runs(pages, starts, stops)
         if chosen.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         lo, hi = int(starts[0]), int(stops[-1])
@@ -347,7 +437,7 @@ class RingIDistance:
         self,
         query: np.ndarray,
         tree_counter: AccessCounter | None = None,
-        reader: VectorReader | None = None,
+        pages: np.ndarray | None = None,
         initial_radius: float | None = None,
     ):
         """Yield ``(point_id, distance)`` in strictly non-decreasing distance order.
@@ -355,9 +445,8 @@ class RingIDistance:
         Implements the incremental NN search over this index that Algorithm 1
         (MIP-Search-I) requires: the radius doubles until the dataset is
         exhausted, and points are only emitted once their distance is covered
-        by a completed range search.
+        by a completed range search, which also checks the query.
         """
-        query = np.asarray(query, dtype=np.float64)
         radius = initial_radius if initial_radius is not None else max(self.epsilon, 1e-12)
         emitted = 0
         # The annulus lower bound is strict; -1 keeps distance-0 points in
@@ -365,7 +454,7 @@ class RingIDistance:
         prev_radius = -1.0
         while emitted < self.n:
             ids, dists = self.range_search(
-                query, radius, tree_counter, reader, min_radius=prev_radius
+                query, radius, tree_counter, pages, min_radius=prev_radius
             )
             for pid, dist in zip(ids.tolist(), dists.tolist()):
                 yield pid, dist

@@ -13,8 +13,7 @@ fetches (Fig. 9).  This module provides the substrate all indexes share:
   a query, matching the paper's "buffering management in the operating
   system"); queries are cold with respect to each other.  The touched set is
   a ``bool`` bitmap over the file's pages, charged by fancy assignment
-  (:meth:`VectorReader.charge` per point, :meth:`VectorReader.charge_slot_runs`
-  per run of consecutive slots), so no Python loop runs per point or per
+  (:meth:`VectorReader.charge`), so no Python loop runs per point or per
   page.
 * :class:`AccessCounter` — a plain page counter used by index structures
   (B+-tree node visits) where every visit is a page read.
@@ -97,7 +96,6 @@ class VectorStore:
             raise ValueError("layout_order must be a permutation of 0..n-1")
         self._slot_of_point = np.empty(self.n, dtype=np.int64)
         self._slot_of_point[layout_order] = np.arange(self.n, dtype=np.int64)
-        self._layout_order = layout_order
 
         # Pre-compute the page span of every point: the file packs vectors
         # back to back, so point at slot s occupies bytes
@@ -171,26 +169,6 @@ class VectorReader:
         itself charges their pages with :meth:`charge`.
         """
         return self._store._vectors
-
-    @property
-    def layout_order(self) -> np.ndarray:
-        """The store's on-disk order: slot ``s`` holds point ``layout_order[s]``."""
-        return self._store._layout_order
-
-    def charge_slot_runs(self, starts: np.ndarray, stops: np.ndarray) -> None:
-        """Charge the pages of the slot runs ``[starts[i], stops[i])``.
-
-        Slots are packed back to back, so a non-empty run covers exactly
-        the pages from its first byte to its last: one page range per run,
-        whatever the run's length or the stride.
-        """
-        store = self._store
-        starts = np.asarray(starts, dtype=np.int64)
-        stops = np.asarray(stops, dtype=np.int64)
-        nonempty = stops > starts
-        firsts = starts[nonempty] * store.stride_bytes // store.page_size
-        ends = (stops[nonempty] * store.stride_bytes - 1) // store.page_size + 1
-        self._touched[expand_runs(firsts, ends)] = True
 
     def charge(self, point_ids: np.ndarray) -> None:
         """Charge the pages of a batch of points without fetching them."""

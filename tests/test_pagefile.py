@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.index.ring_idistance import RingIDistance
 from repro.storage.pagefile import (
     BYTES_PER_COMPONENT,
     AccessCounter,
@@ -197,21 +198,24 @@ class TestPageBitmap:
         [(6, 4096), (5, 256), (6, 16), (300, 256), (64, 100)],  # straddling; 3+ pages wide
     )
     def test_slot_runs_charge_their_points_pages(self, dim, page_size):
+        # The ring's projected file charges slot runs in closed form; a
+        # store in the ring's layout charges the same points one by one.
         gen = np.random.default_rng(dim + page_size)
         n = 3000
         layout = gen.permutation(n)
+        ring = _one_run_ring(n, dim, layout, page_size)
         store = VectorStore(np.zeros((n, dim)), page_size=page_size, layout_order=layout)
-        assert store.reader().layout_order is store._layout_order
+        assert ring.page_bitmap().shape == (store.total_pages,)
         for _ in range(5):
             # Sorted, disjoint runs including empty ones at unaligned slots.
             edges = np.sort(gen.choice(n + 1, size=2 * int(gen.integers(1, 40)),
                                        replace=False))
             starts, stops = edges[0::2], edges[1::2]
             stops[::3] = starts[::3]
-            runs, by_ids = store.reader(), store.reader()
-            runs.charge_slot_runs(starts, stops)
+            runs, by_ids = ring.page_bitmap(), store.reader()
+            ring._charge_slot_runs(runs, starts, stops)
             by_ids.charge(layout[expand_runs(starts, stops)])
-            assert np.array_equal(runs._touched, by_ids._touched)
+            assert np.array_equal(runs, by_ids._touched)
 
     def test_charge_counts_pages_and_vectors_is_the_store(self):
         store = _store()  # 4 points/page
@@ -219,6 +223,25 @@ class TestPageBitmap:
         reader.charge(np.array([0, 5]))
         assert reader.pages_touched == 2
         assert reader.vectors is store._vectors
+
+
+def _one_run_ring(n, dim, layout, page_size):
+    """A ring over ``n`` zero points whose one sub-partition holds them all,
+    in ``layout`` order."""
+    state = {
+        "centers": np.zeros((1, dim)),
+        "epsilon": np.ones(1),
+        "C": np.array([2]),
+        "n_key": np.ones(1, dtype=np.int64),
+        "ksp": np.ones(1, dtype=np.int64),
+        "max_ring": np.zeros(1, dtype=np.int64),
+        "sp_keys": np.zeros(1, dtype=np.int64),
+        "sp_pivots": np.zeros((1, dim)),
+        "sp_radii": np.zeros(1),
+        "sp_offsets": np.array([0, n]),
+        "layout_order": layout,
+    }
+    return RingIDistance.from_state(np.zeros((n, dim)), state, page_size=page_size)
 
 
 class TestExpandRuns:

@@ -173,16 +173,53 @@ class TestDeterminism:
 
     def test_golden_page_counts(self):
         """Query stats pinned across versions (recorded with the 1.8 object
-        B+-tree): a change to the tree, the range search or the page
-        accounting must not move them."""
+        B+-tree; the 16-byte-page row and the MIP-Search-I sums with 1.14):
+        a change to the tree, the range search or the page accounting must
+        not move them.  At 16-byte pages every slot of both files straddles
+        page boundaries."""
         data = load_dataset("yahoo", n=3000, dim=32, n_queries=1, seed=0).data
-        index = build_index("promips()", data, rng=1)
         queries = data[np.random.default_rng(2).choice(3000, 32, replace=False)]
-        results = [index.search(q, k=10) for q in queries]
-        pages = [r.stats.pages for r in results]
-        assert sum(pages) == 2274
-        assert sum(r.stats.candidates for r in results) == 9569
-        assert pages[:5] == [83, 64, 64, 64, 68]
+        golden = {
+            # spec: (pages, candidates, first pages, MIP-Search-I pages)
+            "promips()": (2274, 9569, [83, 64, 64, 64, 68], 3369),
+            "promips(page_size=16)": (152232, 9569, [5163, 3924, 4152, 3481, 4716], 113082),
+        }
+        for spec, (total, candidates, first, incremental) in golden.items():
+            index = build_index(spec, data, rng=1)
+            results = [index.search(q, k=10) for q in queries]
+            pages = [r.stats.pages for r in results]
+            assert sum(pages) == total
+            assert sum(r.stats.candidates for r in results) == candidates
+            assert pages[:5] == first
+            slow = [index.search_incremental(q, k=10) for q in queries]
+            assert sum(r.stats.pages for r in slow) == incremental
+            assert sum(r.stats.candidates for r in slow) == candidates
+
+
+class TestFromState:
+    # Unchecked, a width mismatch fails on the first search with a numpy
+    # broadcast error, a row-count mismatch in the ring's column gather with
+    # an opaque message, and malformed offsets describe runs that do not exist.
+    @pytest.mark.parametrize("key, tamper, names", [
+        ("projection_matrix", lambda a: np.vstack([a, a[:1]]), "centers"),
+        ("ring_sp_pivots", lambda a: np.hstack([a, a[:, :1]]), "sp_pivots"),
+        ("ring_layout_order", lambda a: a[:-1], "layout_order"),
+        ("data", lambda a: a[:-1], "layout_order"),
+        ("ring_sp_offsets", lambda a: np.r_[1, a[1:]], "sp_offsets"),
+        ("ring_sp_offsets", lambda a: np.r_[a[:-1], a[-1] - 1], "sp_offsets"),
+        ("ring_sp_offsets", lambda a: a[[0, 2, 1, *range(3, a.size)]], "sp_offsets"),
+        ("ring_sp_offsets", lambda a: np.delete(a, 1), "sp_offsets"),
+    ], ids=["projection_matrix", "ring_sp_pivots", "ring_layout_order", "data",
+            "offsets_from_1", "offsets_short_of_n", "decreasing_offsets",
+            "offsets_missing_a_run"])
+    def test_rejects_inconsistent_envelope(self, latent_small, key, tamper, names):
+        data, queries = latent_small
+        index = ProMIPS.build(data, ProMIPSParams(), rng=4)
+        state = index.state()
+        ProMIPS.from_state(index.spec(), state).search(queries[0], k=3)
+        state[key] = tamper(state[key])
+        with pytest.raises(ValueError, match=names):
+            ProMIPS.from_state(index.spec(), state)
 
 
 class TestConditionAPath:

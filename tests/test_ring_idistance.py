@@ -70,8 +70,9 @@ class TestBuild:
         with pytest.raises(ValueError, match="non-decreasing"):
             RingIDistance.from_state(points, state)
 
-    def test_index_size_positive(self, ring):
-        assert ring.index_size_bytes(4096) > 0
+    def test_index_size_positive(self, ring, points):
+        # The ring owns the projected file: n · m float32 components.
+        assert ring.index_size_bytes() > points.size * 4
 
 
 class TestRangeSearch:
@@ -104,12 +105,27 @@ class TestRangeSearch:
                 ring.range_search(np.zeros(5), radius)
 
     def test_counts_tree_and_data_pages(self, ring, points):
-        counter = AccessCounter()
-        store = VectorStore(points, page_size=256, layout_order=ring.layout_order)
-        reader = store.reader()
-        ring.range_search(np.zeros(5), 2.0, tree_counter=counter, reader=reader)
+        ring = RingIDistance.from_state(points, ring.state(), page_size=256)
+        counter, pages = AccessCounter(), ring.page_bitmap()
+        assert pages.shape == (-(-len(points) * 5 * 4 // 256),) and not pages.any()
+        ids, _ = ring.range_search(np.zeros(5), 2.0, tree_counter=counter, pages=pages)
         assert counter.pages > 0
-        assert reader.pages_touched > 0
+        assert 0 < np.count_nonzero(pages) < pages.size
+        # The bitmap covers the pages of every chosen run, not just the hits.
+        store = VectorStore(points, page_size=256, layout_order=ring.layout_order)
+        hits = store.reader()
+        hits.charge(ids)
+        assert np.all(pages[hits._touched])
+
+    @pytest.mark.parametrize("shape", [(1,), (4,), (6,), (5, 1), (1, 5), ()],
+                             ids=lambda shape: "x".join(map(str, shape)) or "scalar")
+    def test_rejects_query_of_the_wrong_shape(self, ring, shape):
+        # A (1,) query would broadcast against the 5-wide columns.
+        query = np.zeros(shape)
+        with pytest.raises(ValueError, match=r"shape \(5,\)"):
+            ring.range_search(query, 1.0)
+        with pytest.raises(ValueError, match=r"shape \(5,\)"):
+            next(ring.knn_iterate(query))
 
     def test_subpartition_layout_gives_sequential_reads(self, ring, points):
         """Points of one sub-partition must occupy contiguous slots, the
@@ -122,7 +138,8 @@ class TestRangeSearch:
 
 
 class TestRunReads:
-    """Range search reads sub-partitions as slot runs of the §VI layout."""
+    """Range search reads sub-partitions as slot runs of the §VI layout, and
+    charges them to the ring's own page bitmap."""
 
     def test_slot_runs_hold_member_ids(self, ring, points):
         restored = RingIDistance.from_state(points, ring.state())
@@ -133,24 +150,56 @@ class TestRunReads:
                 assert np.array_equal(index.members(i), run)
 
     @pytest.mark.parametrize("layout", ["ring", "identity", "shuffled"])
-    @pytest.mark.parametrize("page_size", [4096, 256, 64])
+    @pytest.mark.parametrize("page_size", [4096, 256, 64, 16])
     def test_charges_the_pages_of_get_many(self, ring, points, page_size, layout):
-        # Any store layout: the ring's own (runs are page ranges) or not.
-        order = {
-            "ring": ring.layout_order,
-            "identity": None,
-            "shuffled": np.random.default_rng(7).permutation(len(points)),
-        }[layout]
-        store = VectorStore(points, page_size=page_size, layout_order=order)
+        # The reference is a store of the same points in the ring's layout,
+        # read member by member; at 16-byte pages a 20-byte slot straddles.
+        ring, points = _relaid(ring, points, layout, page_size)
+        store = VectorStore(points, page_size=page_size, layout_order=ring.layout_order)
         gen = np.random.default_rng(page_size)
         for radius in (0.3, 1.0, 2.5):
             query = gen.standard_normal(5)
-            runs, by_ids = store.reader(), store.reader()
-            ring.range_search(query, radius, reader=runs)
+            pages, by_ids = ring.page_bitmap(), store.reader()
+            ring.range_search(query, radius, pages=pages)
             chosen = ring._candidate_subpartitions(query, radius, None)
             member_ids = [ring.members(i) for i in chosen]
             by_ids.get_many(np.concatenate(member_ids) if member_ids else np.array([], int))
-            assert np.array_equal(runs._touched, by_ids._touched)
+            assert np.array_equal(pages, by_ids._touched)
+
+    @pytest.mark.parametrize("page_size", [4096, 64, 16, 8])
+    def test_read_slot_returns_the_row_and_charges_its_pages(self, ring, points, page_size):
+        ring = RingIDistance.from_state(points, ring.state(), page_size=page_size)
+        store = VectorStore(points, page_size=page_size, layout_order=ring.layout_order)
+        for slot in (0, 1, 7, len(points) // 2, len(points) - 1):
+            pages, reader = ring.page_bitmap(), store.reader()
+            row = ring.read_slot(slot, pages)
+            want = reader.get(ring.layout_order[slot])
+            assert row.flags.c_contiguous and row.tobytes() == want.tobytes()
+            assert np.array_equal(pages, reader._touched)
+
+
+def _relaid(ring, points, layout, page_size):
+    """The sub-partitions of ``ring`` at ``page_size``, in one of three slot
+    layouts, and the points that ring indexes.
+
+    ``ring`` keeps the built layout; ``identity`` renumbers the points in
+    slot order, so ``layout_order`` is the identity; ``shuffled`` permutes
+    the members inside every sub-partition run.  Page charges must follow
+    the ring's own layout whichever it is.
+    """
+    if layout == "ring" and page_size == ring.page_size:
+        return ring, points
+    order = ring.layout_order
+    if layout == "identity":
+        points = points[order]
+        order = np.arange(len(points))
+    elif layout == "shuffled":
+        gen = np.random.default_rng(7)
+        order = np.concatenate(
+            [gen.permutation(ring.members(i)) for i in range(ring.n_subpartitions)]
+        )
+    state = {**ring.state(), "layout_order": order}
+    return RingIDistance.from_state(points, state, page_size=page_size), points
 
 
 def _unbounded(ring, points):
@@ -218,8 +267,10 @@ class TestColumnDistances:
 class TestRangeSearchReference:
     """Range search against the member-by-member reference: equal ids,
     distance bytes, B+-tree pages and touched-page bitmap, for rings built
-    by ProMIPS and restored from state, over stores in the ring's own layout
-    (charged run by run) and in other layouts (charged point by point)."""
+    by ProMIPS and restored from state, in three slot layouts (see
+    :func:`_relaid`).  The reference charges
+    ``VectorStore(points, page_size, layout_order=ring.layout_order)``
+    through ``get_many``; the ring charges its own bitmap run by run."""
 
     @pytest.fixture(
         scope="class", params=["promips()", "promips(m=10)", "from_state", "point_spheres"]
@@ -239,17 +290,17 @@ class TestRangeSearchReference:
             ring = RingIDistance.from_state(points, state)
         return ring, points, _unbounded(ring, points)
 
+    # promips() picks m=4 here (16-byte slots); the 40-byte slots of m=10
+    # span three 16-byte pages, so their interior pages are charged too.
     @pytest.mark.parametrize("layout", ["ring", "identity", "shuffled"])
-    @pytest.mark.parametrize("page_size", [4096, 16])
+    @pytest.mark.parametrize("page_size", [4096, 256, 64, 16])
     def test_matches_reference(self, case, layout, page_size):
-        ring, points, unbounded = case
+        built, points, unbounded = case
+        ring, points = _relaid(built, points, layout, page_size)
+        if ring is not built:
+            unbounded = _unbounded(ring, points)
         n = len(points)
-        order = {
-            "ring": ring.layout_order,
-            "identity": None,
-            "shuffled": np.random.default_rng(43).permutation(n),
-        }[layout]
-        store = VectorStore(points, page_size=page_size, layout_order=order)
+        store = VectorStore(points, page_size=page_size, layout_order=ring.layout_order)
         gen = np.random.default_rng(page_size)
         queries = [points[int(gen.integers(0, n))].copy(),
                    gen.standard_normal(ring.dim) * points.std()]
@@ -259,8 +310,8 @@ class TestRangeSearchReference:
             for radius, min_radius in ((radii[0], -1.0), (radii[1], -1.0),
                                        (radii[2], radii[1]), (radii[3], radii[2]),
                                        (0.0, -1.0)):
-                counter, reader = AccessCounter(), store.reader()
-                ids, dists = ring.range_search(query, radius, counter, reader,
+                counter, pages = AccessCounter(), ring.page_bitmap()
+                ids, dists = ring.range_search(query, radius, counter, pages,
                                                min_radius=min_radius)
                 ref_reader = store.reader()
                 ref_ids, ref_dists, ref_pages = _reference_range_search(
@@ -269,7 +320,7 @@ class TestRangeSearchReference:
                 assert np.array_equal(ids, ref_ids)
                 assert dists.tobytes() == ref_dists.tobytes()
                 assert counter.pages == ref_pages
-                assert np.array_equal(reader._touched, ref_reader._touched)
+                assert np.array_equal(pages, ref_reader._touched)
 
     def test_no_reader_matches_reference(self, case):
         ring, points, unbounded = case
