@@ -44,6 +44,7 @@ __all__ = [
     "validate_id",
     "validate_query",
     "validate_queries",
+    "validate_data",
 ]
 
 
@@ -280,3 +281,23 @@ def validate_queries(queries: np.ndarray, dim: int) -> np.ndarray:
     if not np.all(np.isfinite(sq_norms)):
         raise ValueError(_NORM_OVERFLOW)
     return queries
+
+
+def validate_data(data: np.ndarray) -> np.ndarray:
+    """Normalise a dataset to a non-empty, finite ``(n, d)`` float64 array
+    whose rows have finite squared norms.
+
+    Every registered method's build funnels its data through this one check,
+    so NaN, infinite or norm-overflowing points fail with ``ValueError``
+    instead of being indexed and ranked.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2 or data.shape[0] == 0:
+        raise ValueError(f"data must be a non-empty (n, d) array, got {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("data contains non-finite values")
+    with np.errstate(over="ignore"):
+        sq_norms = np.einsum("ij,ij->i", data, data)
+    if not np.all(np.isfinite(sq_norms)):
+        raise ValueError(_NORM_OVERFLOW)
+    return data

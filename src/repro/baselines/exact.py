@@ -6,10 +6,10 @@ against in the tests.  Page accounting reflects a full sequential scan of the
 data file.
 
 ``search_many`` is the one query path: one ``data @ Qᵀ`` GEMM scores the
-whole batch and top-k is taken per row via argpartition; ``search`` is the
-one-row batch.  The engine's fixed-panel GEMMs make each row independent of
-its batch, so batch answers are bit-identical to looping ``search`` (see
-:mod:`repro.core.engine`).
+whole batch and the engine's ``batch_topk`` takes each row's top-k;
+``search`` is the one-row batch.  The engine's fixed-panel GEMMs make each
+row independent of its batch, so batch answers are bit-identical to looping
+``search`` (see :mod:`repro.core.engine`).
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from repro.api import (
     validate_k,
     validate_query,
     validate_queries,
+    validate_data,
 )
-from repro.core.engine import batch_inner_products, batch_topk, topk_ids_scores
+from repro.core.engine import batch_inner_products, batch_topk
 from repro.spec import IndexSpec, register_method
 from repro.storage.pagefile import DEFAULT_PAGE_SIZE, VectorStore
 
@@ -33,7 +34,8 @@ __all__ = ["ExactMIPS", "exact_topk"]
 
 def exact_topk(data: np.ndarray, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k ids and inner products by brute force (descending, ties by id)."""
-    return topk_ids_scores(data @ query, k)
+    ids, scores = batch_topk(data @ query, k)
+    return ids[0], scores[0]
 
 
 @register_method("exact", aliases=("Exact", "ExactMIPS"))
@@ -46,9 +48,7 @@ class ExactMIPS:
     """
 
     def __init__(self, data: np.ndarray, page_size: int = DEFAULT_PAGE_SIZE) -> None:
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] == 0:
-            raise ValueError(f"data must be a non-empty (n, d) array, got {data.shape}")
+        data = validate_data(data)
         self._data = data
         self.n, self.dim = data.shape
         self.page_size = int(page_size)

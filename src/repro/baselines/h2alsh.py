@@ -19,8 +19,6 @@ transformed shells are what lives on disk.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.api import (
@@ -30,6 +28,7 @@ from repro.api import (
     validate_k,
     validate_queries,
     validate_query,
+    validate_data,
 )
 from repro.baselines.qalsh import QALSH, derive_qalsh_params
 from repro.baselines.transforms import (
@@ -37,6 +36,7 @@ from repro.baselines.transforms import (
     qnf_transform_data,
     qnf_transform_query,
 )
+from repro.core.engine import TopK, merge_topk_panels
 from repro.core.rng import resolve_rng
 from repro.spec import IndexSpec, register_method
 from repro.storage.pagefile import DEFAULT_PAGE_SIZE, VectorStore
@@ -88,9 +88,7 @@ class H2ALSH:
         if c0 <= 1.0:
             raise ValueError(f"c0 must exceed 1, got {c0}")
         rng = resolve_rng(rng)
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] == 0:
-            raise ValueError(f"data must be a non-empty (n, d) array, got {data.shape}")
+        data = validate_data(data)
         self._data = data
         self.n, self.dim = data.shape
         self.c = float(c)
@@ -219,7 +217,7 @@ class H2ALSH:
     def _search_one(self, query: np.ndarray, k: int) -> SearchResult:
         q_norm = float(np.linalg.norm(query))
 
-        heap: list[tuple[float, int]] = []  # (ip, global_id) min-heap
+        topk = TopK(k)
         index_pages = [0]
         data_pages = 0
         candidates = 0
@@ -227,7 +225,7 @@ class H2ALSH:
 
         for shell in self.shells:
             upper_bound = shell.max_norm * q_norm
-            if len(heap) >= k and heap[0][0] >= self.c * upper_bound:
+            if topk.full and topk.kth_ip >= self.c * upper_bound:
                 break
             shells_probed += 1
             q_t = qnf_transform_query(query, shell.max_norm)
@@ -239,24 +237,20 @@ class H2ALSH:
             candidates += verified
             for local_id, dist in zip(local_ids.tolist(), dists.tolist()):
                 ip = qnf_distance_to_ip(dist * dist, shell.max_norm, q_norm)
-                gid = int(shell.global_ids[local_id])
-                if len(heap) < k:
-                    heapq.heappush(heap, (ip, gid))
-                elif ip > heap[0][0]:
-                    heapq.heapreplace(heap, (ip, gid))
+                topk.offer(ip, int(shell.global_ids[local_id]))
 
-        ranked = sorted(heap, key=lambda t: (-t[0], t[1]))
-        ids = np.array([gid for _, gid in ranked], dtype=np.int64)
         # Report exact inner products for the returned ids (the QNF inversion
-        # is exact up to floating point; recomputing keeps metrics honest).
-        ips = self._data[ids] @ query if len(ids) else np.empty(0)
-        order = np.argsort(-ips, kind="stable")
+        # is exact up to floating point; recomputing keeps metrics honest),
+        # ranked by them.
+        ids, _ = topk.result()
+        ips = self._data[ids] @ query
+        ids, ips = merge_topk_panels([ids[None, :]], [ips[None, :]], ids.size)
         stats = SearchStats(
             pages=index_pages[0] + data_pages,
             candidates=candidates,
             extras={"shells_probed": shells_probed, "n_shells": self.n_shells},
         )
-        return SearchResult(ids=ids[order], scores=ips[order], stats=stats)
+        return SearchResult(ids=ids[0], scores=ips[0], stats=stats)
 
     def __repr__(self) -> str:
         return f"H2ALSH(n={self.n}, d={self.dim}, shells={self.n_shells}, c0={self.c0})"

@@ -33,10 +33,11 @@ from repro.api import (
     validate_k,
     validate_query,
     validate_queries,
+    validate_data,
 )
 from repro.cluster.kmeans import assign_to_centers, kmeans
 from repro.baselines.transforms import qnf_transform_data, qnf_transform_query
-from repro.core.engine import batch_inner_products
+from repro.core.engine import batch_inner_products, merge_topk_panels
 from repro.core.rng import resolve_rng
 from repro.spec import IndexSpec, register_method
 from repro.storage.pagefile import DEFAULT_PAGE_SIZE, VectorStore
@@ -206,9 +207,7 @@ class PQBasedMIPS:
         page_size: int = DEFAULT_PAGE_SIZE,
     ) -> None:
         rng = resolve_rng(rng)
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] == 0:
-            raise ValueError(f"data must be a non-empty (n, d) array, got {data.shape}")
+        data = validate_data(data)
         self._data = data
         self.n, self.dim = data.shape
         self.n_probe = int(n_probe)
@@ -511,16 +510,15 @@ class PQBasedMIPS:
             reader = self._store.reader()
             short_ids = all_ids[part]
             vecs = reader.get_many(short_ids)
-            ips = vecs @ query
-            order = np.argsort(-ips, kind="stable")[:k]
+            top_ids, top_ips = merge_topk_panels(
+                [short_ids[None, :]], [(vecs @ query)[None, :]], k
+            )
             stats = SearchStats(
                 pages=code_pages + reader.pages_touched,
                 candidates=int(all_ids.size),
                 extras={"cells_probed": int(len(probes[i])), "reranked": int(shortlist)},
             )
-            results.append(
-                SearchResult(ids=short_ids[order], scores=ips[order], stats=stats)
-            )
+            results.append(SearchResult(ids=top_ids[0], scores=top_ips[0], stats=stats))
         return results
 
     def __repr__(self) -> str:

@@ -23,8 +23,6 @@ describes its Range-LSH setup.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.api import (
@@ -34,12 +32,14 @@ from repro.api import (
     validate_k,
     validate_queries,
     validate_query,
+    validate_data,
 )
 from repro.baselines.simhash import SimHash, hamming_distance
 from repro.baselines.transforms import (
     simple_lsh_transform_data,
     simple_lsh_transform_query,
 )
+from repro.core.engine import TopK
 from repro.core.rng import resolve_rng
 from repro.spec import IndexSpec, register_method
 from repro.storage.pagefile import DEFAULT_PAGE_SIZE, VectorStore
@@ -85,9 +85,7 @@ class RangeLSH:
             raise ValueError(
                 f"candidate_fraction must be in (0, 1], got {candidate_fraction}"
             )
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] == 0:
-            raise ValueError(f"data must be a non-empty (n, d) array, got {data.shape}")
+        data = validate_data(data)
         self._data = data
         self.n, self.dim = data.shape
         self.c = float(c)
@@ -195,7 +193,7 @@ class RangeLSH:
                 buckets.append((-bound, j, h))
         buckets.sort(key=lambda t: t[0])
 
-        heap: list[tuple[float, int]] = []
+        topk = TopK(k)
         reader = self._store.reader()
         candidates = 0
         code_pages = 0
@@ -212,7 +210,7 @@ class RangeLSH:
             # termination is budget-driven as in the released Range-LSH
             # implementation.  A zero-or-negative bound can only be reached
             # once every positive-estimate bucket was probed.
-            if len(heap) >= k and bound <= 0.0:
+            if topk.full and bound <= 0.0:
                 break
             if candidates >= budget:
                 break
@@ -226,14 +224,9 @@ class RangeLSH:
             ips = vecs @ query
             candidates += len(gids)
             for gid, ip in zip(gids.tolist(), ips.tolist()):
-                if len(heap) < k:
-                    heapq.heappush(heap, (float(ip), gid))
-                elif ip > heap[0][0]:
-                    heapq.heapreplace(heap, (float(ip), gid))
+                topk.offer(ip, gid)
 
-        ranked = sorted(heap, key=lambda t: (-t[0], t[1]))
-        ids = np.array([gid for _, gid in ranked], dtype=np.int64)
-        ips = np.array([ip for ip, _ in ranked], dtype=np.float64)
+        ids, ips = topk.result()
         stats = SearchStats(
             pages=reader.pages_touched + code_pages,
             candidates=candidates,

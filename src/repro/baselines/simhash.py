@@ -26,13 +26,14 @@ from repro.api import (
     validate_k,
     validate_queries,
     validate_query,
+    validate_data,
 )
 from repro.baselines.transforms import (
     simple_lsh_transform_data,
     simple_lsh_transform_query,
 )
 from repro.core.binary_codes import pack_code
-from repro.core.engine import batch_inner_products
+from repro.core.engine import batch_inner_products, merge_topk_panels
 from repro.core.rng import resolve_rng
 from repro.spec import IndexSpec, register_method
 from repro.storage.pagefile import DEFAULT_PAGE_SIZE, VectorStore
@@ -154,9 +155,7 @@ class SimHashMIPS:
     ) -> None:
         if shortlist <= 0:
             raise ValueError(f"shortlist must be positive, got {shortlist}")
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] == 0:
-            raise ValueError(f"data must be a non-empty (n, d) array, got {data.shape}")
+        data = validate_data(data)
         self._data = data
         self.n, self.dim = data.shape
         self.shortlist = int(shortlist)
@@ -264,15 +263,16 @@ class SimHashMIPS:
                 cand = part[np.argsort(key[part], kind="stable")]
                 reader = self._store.reader()
                 vecs = reader.get_many(cand)
-                ips = vecs @ queries[i]
-                order = np.lexsort((cand, -ips))[:k]
+                top_ids, top_ips = merge_topk_panels(
+                    [cand[None, :]], [(vecs @ queries[i])[None, :]], k
+                )
                 stats = SearchStats(
                     pages=self._code_pages + reader.pages_touched,
                     candidates=int(n_take),
                     extras={"shortlist": int(n_take)},
                 )
                 results.append(
-                    SearchResult(ids=cand[order], scores=ips[order], stats=stats)
+                    SearchResult(ids=top_ids[0], scores=top_ips[0], stats=stats)
                 )
         return BatchResult.from_results(results)
 

@@ -8,7 +8,6 @@ from repro.core.engine import (
     batch_topk,
     merge_topk_panels,
     project_batch,
-    topk_ids_scores,
 )
 from repro.core.binary_codes import (
     BinaryCodeGroups,
@@ -42,7 +41,6 @@ __all__ = [
     "batch_topk",
     "merge_topk_panels",
     "project_batch",
-    "topk_ids_scores",
     "DynamicProMIPS",
     "MaintenanceEngine",
     "RebuildTicket",

@@ -20,6 +20,14 @@ The engine therefore computes every shared inner-product pass through
 ``(n, d) @ (d, GEMM_PANEL)``, zero-padding the last (or only) panel.  A lone
 query and a 10k-row batch hit byte-identical kernel invocations, which is
 what makes the batch path exact rather than merely close.
+
+The engine is also the one owner of the answer order.  Every method ranks
+its answer by ``(-score, id)`` — descending inner product, ties by ascending
+id — and its top-k is the first ``k`` in that order, in one of three shapes:
+:func:`batch_topk` for dense score rows (the exact scan, ground truth),
+:func:`merge_topk_panels` for candidate panels with explicit ids (shard and
+delta merges, re-ranked short-lists), and :class:`TopK` for candidates that
+stream in (MIP-Search-I/II, the LSH baselines).
 """
 
 from __future__ import annotations
@@ -36,10 +44,11 @@ __all__ = [
     "MERGE_SENTINEL",
     "batch_inner_products",
     "project_batch",
-    "topk_ids_scores",
     "batch_topk",
     "merge_topk_panels",
     "TopK",
+    "VERIFY_CHUNK",
+    "BLOCK_CHUNKS",
     "CandidateVerifier",
 ]
 
@@ -83,26 +92,12 @@ def project_batch(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(batch_inner_products(matrix, queries).T)
 
 
-def topk_ids_scores(ips: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k of one score vector, descending, ties broken by ascending id.
-
-    ``O(n + k log k)`` via argpartition + a stable sort of the short-list.
-    """
-    ips = np.asarray(ips)
-    k = validate_k(k)
-    k = min(k, ips.shape[0])
-    part = np.argpartition(-ips, k - 1)[:k]
-    order = part[np.lexsort((part, -ips[part]))]
-    return order.astype(np.int64), ips[order].astype(np.float64)
-
-
 def batch_topk(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise top-k of an ``(n_q, n)`` score matrix → ``(n_q, k')`` arrays.
 
-    One axis-wise argpartition plus one axis-wise lexsort over the short-list
-    replace ``n_q`` per-row calls; row ``i`` matches
-    ``topk_ids_scores(scores[i], k)`` exactly (the axis implementations run
-    the identical per-row select/sort, which the engine tests pin down).
+    Row ``i`` is the first ``k`` of ``scores[i]`` in the ``(-score, id)``
+    order, i.e. ``lexsort((ids, -scores[i]))[:k]``: one axis-wise
+    argpartition picks a short-list, one axis-wise lexsort orders it.
     """
     scores = np.atleast_2d(scores)
     n_q, n = scores.shape
@@ -115,6 +110,18 @@ def batch_topk(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     neg = np.negative(scores, order="C")
     part = np.argpartition(neg, k - 1, axis=1)[:, :k]
     neg_part = np.take_along_axis(neg, part, axis=1)
+    # argpartition keeps an arbitrary subset of the values tied at the cut.
+    # Where the k-th value also occurs outside the short-list, rebuild the
+    # row's short-list from everything strictly better plus the lowest ids
+    # among the tied.
+    cut = neg_part.max(axis=1, keepdims=True)
+    for row in np.flatnonzero(
+        np.count_nonzero(neg == cut, axis=1) > np.count_nonzero(neg_part == cut, axis=1)
+    ):
+        better = np.flatnonzero(neg[row] < cut[row])
+        tied = np.flatnonzero(neg[row] == cut[row])[: k - better.size]
+        part[row] = np.concatenate((better, tied))
+        neg_part[row] = neg[row, part[row]]
     order = np.lexsort((part, neg_part), axis=1)
     ids = np.take_along_axis(part, order, axis=1).astype(np.int64)
     out = -np.take_along_axis(neg_part, order, axis=1)
@@ -161,19 +168,23 @@ def merge_topk_panels(
 
 
 class TopK:
-    """Running top-k inner products (min-heap of ``(ip, id)``)."""
+    """Running top-k inner products of one query (min-heap of ``(ip, id)``).
 
-    __slots__ = ("k", "_heap", "_seen")
+    A candidate enters when the heap has room or when it scores strictly
+    above the current k-th best; :meth:`result` orders the survivors by
+    ``(-score, id)``.  Callers offer each id at most once per query: the
+    ring's range searches report every slot once and MIP-Search-II's annuli
+    are disjoint, and the LSH baselines' buckets and shells partition the
+    points.
+    """
+
+    __slots__ = ("k", "_heap")
 
     def __init__(self, k: int) -> None:
         self.k = k
         self._heap: list[tuple[float, int]] = []
-        self._seen: set[int] = set()
 
     def offer(self, ip: float, pid: int) -> None:
-        if pid in self._seen:
-            return
-        self._seen.add(pid)
         if len(self._heap) < self.k:
             heapq.heappush(self._heap, (ip, pid))
         elif ip > self._heap[0][0]:
@@ -183,24 +194,23 @@ class TopK:
         """Offer ``(ips[i], ids[i])`` in order until a stop; return its position.
 
         Equivalent to :meth:`offer` at every position in turn, asking after
-        each offer made on a full heap whether to stop; the heap and the
-        seen set end exactly as those offers leave them.  The question is
-        ``first_stop(kth, lo, hi)``: the first position in ``[lo, hi)`` to
-        stop at while the k-th best stays ``kth``, or ``hi`` for none.
+        each offer made on a full heap whether to stop; the heap ends exactly
+        as those offers leave it.  The question is ``first_stop(kth, lo,
+        hi)``: the first position in ``[lo, hi)`` to stop at while the k-th
+        best stays ``kth``, or ``hi`` for none.
 
-        Only *records* — unseen ids scoring strictly above the k-th best —
-        change the heap; between two of them the k-th best is constant and
-        the other offers only mark their ids seen.  So Python walks the
-        records and hands each stretch between them to ``first_stop`` whole.
-        Returns ``len(ids)`` when no position stops.
+        Only *records* — candidates scoring strictly above the k-th best —
+        change the heap; between two of them the k-th best is constant.  So
+        Python walks the records and hands each stretch between them to
+        ``first_stop`` whole.  Returns ``len(ids)`` when no position stops.
         """
-        heap, seen = self._heap, self._seen
+        heap = self._heap
         n = ids.size
-        # Until the heap is full every unseen id is pushed and nothing is
+        # Until the heap is full every candidate is pushed and nothing is
         # asked: at most k offers one by one.
         pos = 0
         while pos < n and len(heap) < self.k:
-            self.offer(float(ips[pos]), int(ids[pos]))
+            heapq.heappush(heap, (float(ips[pos]), int(ids[pos])))
             pos += 1
             if len(heap) == self.k and first_stop(heap[0][0], pos - 1, pos) < pos:
                 return pos - 1
@@ -216,16 +226,12 @@ class TopK:
             pool = pool[1:]
             if nxt > pos:
                 hit = first_stop(kth, pos, nxt)
-                seen.update(ids[pos : min(hit + 1, nxt)].tolist())
                 if hit < nxt:
                     return hit
             if nxt == n:
                 return n
-            pid = int(ids[nxt])
-            if pid not in seen:
-                seen.add(pid)
-                heapq.heapreplace(heap, (float(ips[nxt]), pid))
-                kth = heap[0][0]
+            heapq.heapreplace(heap, (float(ips[nxt]), int(ids[nxt])))
+            kth = heap[0][0]
             if first_stop(kth, nxt, nxt + 1) == nxt:
                 return nxt
             pos = nxt + 1
@@ -236,14 +242,8 @@ class TopK:
 
     @property
     def kth_ip(self) -> float:
-        """Inner product of the current k-th best; −inf until k candidates."""
-        if not self.full:
-            return -math.inf
-        return self._heap[0][0]
-
-    @property
-    def weakest_ip(self) -> float:
-        """Smallest collected inner product; −inf when empty."""
+        """Smallest collected inner product: the k-th best once :attr:`full`,
+        −inf while empty."""
         if not self._heap:
             return -math.inf
         return self._heap[0][0]
@@ -253,6 +253,13 @@ class TopK:
         ids = np.array([pid for _, pid in ranked], dtype=np.int64)
         ips = np.array([ip for ip, _ in ranked], dtype=np.float64)
         return ids, ips
+
+
+# CandidateVerifier's unit of both the inner-product GEMV and page charging,
+# and the chunks per block: a block bounds the vectors held at once (2048)
+# while keeping per-block numpy overhead small.
+VERIFY_CHUNK = 32
+BLOCK_CHUNKS = 64
 
 
 class CandidateVerifier:
@@ -266,13 +273,13 @@ class CandidateVerifier:
     — the CDF comparison inverted once through the cached chi-square
     quantile — so no per-candidate CDF evaluation is needed.
 
-    Candidates run in blocks of up to :attr:`BLOCK_CHUNKS` chunks of
-    ``chunk`` candidates.  The chunk is the unit of both the inner-product
-    GEMV and page charging: a block's vectors are multiplied as a stacked
-    ``(chunks, chunk, d) @ q``, which issues one ``(chunk, d)`` GEMV per
-    chunk (bit-identical to multiplying each chunk alone, which one
+    Candidates run in blocks of up to :data:`BLOCK_CHUNKS` chunks of
+    :data:`VERIFY_CHUNK` candidates.  The chunk is the unit of both the
+    inner-product GEMV and page charging: a block's vectors are multiplied
+    as a stacked ``(chunks, 32, d) @ q``, which issues one ``(32, d)`` GEMV
+    per chunk (bit-identical to multiplying each chunk alone, which one
     ``(rows, d)`` GEMV need not be — BLAS may pick kernels by row count),
-    and the pages of exactly ``ceil(verified / chunk)`` chunks are charged.
+    and the pages of exactly ``ceil(verified / 32)`` chunks are charged.
 
     Each block goes to :meth:`TopK.offer_block`, which walks only the
     *record* candidates — those whose inner product strictly beats the
@@ -284,27 +291,21 @@ class CandidateVerifier:
     Args:
         chi2: the cached ``ChiSquare(m)`` of the index.
         max_norm_sq: ``‖oM‖²`` over the dataset.
-        chunk: candidates per GEMV and per page charge.
     """
 
-    __slots__ = ("_chi2", "_max_norm_sq", "_chunk")
+    __slots__ = ("_chi2", "_max_norm_sq")
 
-    # Chunks per block: bounds the vectors held at once (2048 at the
-    # default chunk) while keeping per-block numpy overhead small.
-    BLOCK_CHUNKS = 64
-
-    def __init__(self, chi2, max_norm_sq: float, chunk: int = 32) -> None:
+    def __init__(self, chi2, max_norm_sq: float) -> None:
         self._chi2 = chi2
         self._max_norm_sq = float(max_norm_sq)
-        self._chunk = int(chunk)
 
     def _block_ips(
         self, vectors: np.ndarray, ids: np.ndarray, query: np.ndarray
     ) -> np.ndarray:
         """Inner products of ``vectors[ids]`` with ``query``, chunk-aligned:
-        every full chunk is one ``(chunk, d)`` GEMV of a stacked matmul and
-        a trailing partial chunk its own GEMV."""
-        chunk = self._chunk
+        every full chunk is one ``(VERIFY_CHUNK, d)`` GEMV of a stacked
+        matmul and a trailing partial chunk its own GEMV."""
+        chunk = VERIFY_CHUNK
         full = ids.size - ids.size % chunk
         out = np.empty(ids.size)
         rows = np.take(vectors, ids, axis=0)
@@ -337,8 +338,8 @@ class CandidateVerifier:
         quantile = self._chi2.ppf(p)
         base = self._max_norm_sq + q_norm_sq
         cond_a_threshold = 0.5 * c * base
-        chunk = self._chunk
-        block = chunk * self.BLOCK_CHUNKS
+        chunk = VERIFY_CHUNK
+        block = chunk * BLOCK_CHUNKS
         vectors = orig_reader.vectors
         for start in range(0, ids.size, block):
             block_ids = ids[start : start + block]

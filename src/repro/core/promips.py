@@ -34,6 +34,7 @@ from repro.api import (
     validate_k,
     validate_query,
     validate_queries,
+    validate_data,
 )
 from repro.core.binary_codes import BinaryCodeGroups
 from repro.core.conditions import (
@@ -147,11 +148,7 @@ class ProMIPS:
         """
         params = params or ProMIPSParams()
         rng = resolve_rng(rng)
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] == 0:
-            raise ValueError(f"data must be a non-empty (n, d) array, got {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("data contains non-finite values")
+        data = validate_data(data)
 
         n, d = data.shape
         m = params.m if params.m is not None else optimized_projection_dim(n)
@@ -286,8 +283,7 @@ class ProMIPS:
         # doubling when r' fails to grow.
         current_radius = radius
         while fired is None and total_verified < self.n:
-            guard_ip = topk.kth_ip if topk.full else topk.weakest_ip
-            denominator = guarantee_denominator(self.max_norm_sq, q_norm_sq, guard_ip, c)
+            denominator = guarantee_denominator(self.max_norm_sq, q_norm_sq, topk.kth_ip, c)
             # Stopping requires a full top-k (the c-k-AMIP conditions are
             # stated on ok_max); with fewer candidates the radius must grow.
             if topk.full and condition_b_holds(
@@ -422,9 +418,7 @@ class ProMIPS:
             if condition_a_holds(self.max_norm_sq, q_norm_sq, topk.kth_ip, c):
                 stopped_by = "condition_a"
                 break
-            denominator = guarantee_denominator(
-                self.max_norm_sq, q_norm_sq, topk.kth_ip, c
-            )
+            denominator = guarantee_denominator(self.max_norm_sq, q_norm_sq, topk.kth_ip, c)
             if condition_b_holds(dist * dist, denominator, self._chi2, p):
                 stopped_by = "condition_b"
                 break

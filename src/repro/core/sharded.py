@@ -16,14 +16,19 @@ fanning the query set out over the shards on one long-lived thread pool per
 index (NumPy releases the GIL inside the BLAS kernels every shard leans
 on) and exact-merging the per-shard top-k lists.
 
-The merge is *bit-identical* to the unsharded index for exact inner methods:
-shard-local scores come out of the same fixed-shape GEMM panels the full
-scan uses (an output element depends only on its own row and query), local
-ids remap to global ids through a sorted member table so per-shard
-tie-breaking by local id is exactly tie-breaking by global id, and the
-cross-shard merge orders by ``(-score, global_id)`` — the same total order
-``repro.core.engine.topk_ids_scores`` applies.  The shard-count-invariance
-property tests pin this down for shard counts that do not divide ``n``.
+The merge is *bit-identical* to the unsharded index for exact inner methods,
+ties included: shard-local scores come out of the same fixed-shape GEMM
+panels the full scan uses (an output element depends only on its own row
+and query), each shard keeps the first ``k`` of its points in the engine's
+``(-score, id)`` order (:func:`repro.core.engine.batch_topk`, also where
+scores tie at the k-th place), local ids remap to global ids through a
+sorted member table so per-shard tie-breaking by local id is exactly
+tie-breaking by global id, and the cross-shard merge
+(:func:`repro.core.engine.merge_topk_panels`) orders by
+``(-score, global_id)``.  The first ``k`` of a union are the first ``k`` of
+the union of each part's first ``k``.  The shard-count-invariance property
+tests pin this down for shard counts that do not divide ``n``, and on
+integer data where most scores tie.
 
 Mutable serving works too: with ``inner='dynamic(...)'`` every shard is a
 :class:`repro.core.dynamic.DynamicProMIPS`, and :meth:`insert` /
@@ -53,6 +58,7 @@ from repro.api import (
     validate_k,
     validate_queries,
     validate_query,
+    validate_data,
 )
 from repro.core.engine import MERGE_SENTINEL, merge_topk_panels
 from repro.core.persist import pack_substate, unpack_substate
@@ -177,9 +183,7 @@ class ShardedIndex:
                 spawned child stream, so builds are deterministic per seed
                 regardless of shard count.
         """
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] == 0:
-            raise ValueError(f"data must be a non-empty (n, d) array, got {data.shape}")
+        data = validate_data(data)
         if shards < 1:
             raise ValueError(f"shards must be positive, got {shards}")
         if assignment not in _ASSIGNMENTS:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.engine import batch_topk, merge_topk_panels
+
 __all__ = ["GroundTruth"]
 
 
@@ -41,23 +43,18 @@ class GroundTruth:
         self.k_max = k_max
         self.n_queries = n_q
 
+        # Each block's top-k_max, then a merge with the running answer: both
+        # steps keep the engine's (-score, id) order, and a point cut from
+        # a block ranks below k_max of that block alone.
         top_ids = np.zeros((n_q, 0), dtype=np.int64)
         top_ips = np.zeros((n_q, 0), dtype=np.float64)
         for start in range(0, n, block):
-            chunk = data[start : start + block]
-            ips = queries @ chunk.T  # (n_q, chunk)
-            ids = np.arange(start, start + chunk.shape[0], dtype=np.int64)
-            cand_ips = np.hstack([top_ips, ips])
-            cand_ids = np.hstack([top_ids, np.broadcast_to(ids, ips.shape)])
-            keep = min(k_max, cand_ips.shape[1])
-            part = np.argpartition(-cand_ips, keep - 1, axis=1)[:, :keep]
-            rows = np.arange(n_q)[:, None]
-            top_ips = cand_ips[rows, part]
-            top_ids = cand_ids[rows, part]
-        order = np.lexsort((top_ids, -top_ips), axis=1)
-        rows = np.arange(n_q)[:, None]
-        self._ids = top_ids[rows, order]
-        self._ips = top_ips[rows, order]
+            ids, ips = batch_topk(queries @ data[start : start + block].T, k_max)
+            top_ids, top_ips = merge_topk_panels(
+                [top_ids, ids + start], [top_ips, ips], k_max
+            )
+        self._ids = top_ids
+        self._ips = top_ips
 
     def topk(self, query_index: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Exact ``(ids, inner_products)`` of query ``query_index`` at ``k``."""

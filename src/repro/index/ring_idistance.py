@@ -358,14 +358,19 @@ class RingIDistance:
         """Indices of the sub-partitions whose bounding sphere intersects the
         query sphere, in B+-tree traversal order (which is ascending)."""
         center_dists = np.linalg.norm(self.centers - query[None, :], axis=1)
+        # Every distance here is rounded (relative error of order m/2 ulps),
+        # so a point the exact ``dists <= radius`` mask of the range search
+        # keeps may sit a few ulps outside a computed bound.  Both prunes
+        # below keep a relative slack of m + 8 ulps for it; the mask still
+        # decides the answer.
+        slack = (self.dim + 8) * np.finfo(np.float64).eps
         # Ring bounds are clamped in float before the cast, so a huge radius
         # (or a tiny epsilon) cannot wrap the int64 keys; on the clamped,
         # non-negative values the cast is Formula 6's floor.  The +1 guards
-        # the floor against a one-ulp undershoot of the ring boundary, and
-        # sub-partition sphere tests discard any excess.
-        lo_ring = np.minimum(
-            np.maximum((center_dists - radius) / self.epsilon, 0.0), self.max_ring + 1.0
-        ).astype(np.int64)
+        # the upper floor against a one-ulp undershoot of the ring boundary,
+        # and sub-partition sphere tests discard any excess.
+        lo = (center_dists * (1.0 - slack) - radius * (1.0 + slack)) / self.epsilon
+        lo_ring = np.minimum(np.maximum(lo, 0.0), self.max_ring + 1.0).astype(np.int64)
         hi_ring = np.minimum((center_dists + radius) / self.epsilon, self.max_ring)
         hi_ring = np.minimum(hi_ring.astype(np.int64) + 1, self.max_ring)
         reached = np.flatnonzero((self.max_ring >= 0) & (lo_ring <= self.max_ring))
@@ -375,7 +380,7 @@ class RingIDistance:
         )
         sel = self._tree.values[expand_runs(starts, stops)]
         pivot_dists = column_distances(self._pivot_columns, query)[sel]
-        return sel[pivot_dists <= radius + self.sp_radii[sel]]
+        return sel[pivot_dists <= (radius + self.sp_radii[sel]) * (1.0 + slack)]
 
     def range_search(
         self,
@@ -438,7 +443,6 @@ class RingIDistance:
         query: np.ndarray,
         tree_counter: AccessCounter | None = None,
         pages: np.ndarray | None = None,
-        initial_radius: float | None = None,
     ):
         """Yield ``(point_id, distance)`` in strictly non-decreasing distance order.
 
@@ -447,7 +451,7 @@ class RingIDistance:
         exhausted, and points are only emitted once their distance is covered
         by a completed range search, which also checks the query.
         """
-        radius = initial_radius if initial_radius is not None else max(self.epsilon, 1e-12)
+        radius = max(self.epsilon, 1e-12)
         emitted = 0
         # The annulus lower bound is strict; -1 keeps distance-0 points in
         # the first round.

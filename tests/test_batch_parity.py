@@ -200,6 +200,48 @@ class TestNativeParity:
             assert batch.stats == [], name
 
 
+@pytest.fixture(scope="module")
+def tied_workload():
+    """800×8 integer data with 200 duplicated rows: most scores tie."""
+    gen = np.random.default_rng(4)
+    data = gen.integers(-2, 3, size=(800, 8)).astype(np.float64)
+    data[600:] = data[:200]
+    queries = gen.integers(-2, 3, size=(40, 8)).astype(np.float64)
+    return data, queries
+
+
+class TestAnswerOrder:
+    """Every method returns its rows in the engine's ``(-score, id)`` order:
+    descending score, ties by ascending id."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_SPECS))
+    def test_rows_ordered_by_score_then_id(self, tied_workload, name):
+        data, queries = tied_workload
+        batch = build_index(PARITY_SPECS[name], data, rng=3).search_many(queries, k=10)
+        for i, row in enumerate(batch):
+            ids, scores = row.ids, row.scores
+            ordered = (scores[:-1] > scores[1:]) | (
+                (scores[:-1] == scores[1:]) & (ids[:-1] < ids[1:])
+            )
+            assert ordered.all(), f"row {i}: ids {ids} scores {scores}"
+
+
+class TestDataValidation:
+    @pytest.mark.parametrize("name", sorted(PARITY_SPECS))
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "non-finite"),
+        (np.inf, "non-finite"),
+        (-np.inf, "non-finite"),
+        (1e300, "squared norm overflows"),
+    ], ids=["nan", "inf", "-inf", "norm-overflow"])
+    def test_every_method_rejects_unscorable_data(self, workload, name, bad, message):
+        data, _ = workload
+        broken = data.copy()
+        broken[5, 3] = bad
+        with pytest.raises(ValueError, match=message):
+            build_index(PARITY_SPECS[name], broken, rng=3)
+
+
 class TestBatchResult:
     def test_from_results_pads_ragged_rows(self):
         from repro.api import SearchResult

@@ -39,6 +39,21 @@ class TestGroundTruth:
             assert np.array_equal(a_ids, b_ids)
             assert np.allclose(a_ips, b_ips)
 
+    @pytest.mark.parametrize("block", [7, 64, 10**6])
+    def test_tied_scores_keep_the_lowest_ids(self, block):
+        """On integer data most scores tie, also at the k-th place and
+        across block boundaries; every prefix is still the first k of the
+        ``(-score, id)`` order."""
+        gen = np.random.default_rng(block)
+        data = gen.integers(-1, 2, size=(300, 4)).astype(np.float64)
+        queries = gen.integers(-1, 2, size=(16, 4)).astype(np.float64)
+        gt = GroundTruth(data, queries, k_max=25, block=block)
+        for qi in range(len(queries)):
+            ids, ips = gt.topk(qi, 25)
+            ref_ids, ref_ips = exact_topk_reference(data, queries[qi], 25)
+            assert np.array_equal(ids, ref_ids)
+            assert np.array_equal(ips, ref_ips)
+
     def test_prefix_consistency(self, setup):
         _, _, gt = setup
         ids50, _ = gt.topk(0, 50)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -74,24 +74,49 @@ class TestQueryScaleInvariance:
         assert np.allclose(scaled.scores, alpha * base.scores, rtol=1e-10)
 
 
+# A subnormal ‖q‖²: the scale (kth - 1) / ‖q‖² overflows, so the "dominated"
+# vector is [-inf, nan, ...] and must be refused at build time.
+_SUBNORMAL_QUERY = {
+    "data": np.zeros((30, 8)),
+    "query": np.array([6.05851642e-155] + [0.0] * 7),
+}
+
+
+def _dominated(query: np.ndarray, kth: float) -> np.ndarray:
+    """A vector with ``⟨v, q⟩ = kth − 1 < kth``: strictly dominated."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return query * ((kth - 1.0) / float(query @ query))
+
+
+def _scorable(vector: np.ndarray) -> bool:
+    """Finite, with a finite squared norm: what every build accepts."""
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.isfinite(vector)) and np.isfinite(vector @ vector))
+
+
 class TestDominatedAppend:
     """Appending a vector whose inner product with the query is below the
-    current k-th best cannot change the exact top-k."""
+    current k-th best cannot change the exact top-k.  Where the vector
+    cannot be built in floating point (its scale overflows), the build
+    rejects it instead of ranking NaNs."""
 
     @given(
         data=arrays(np.float64, (30, 8), elements=_ROWS),
         query=arrays(np.float64, (8,), elements=_ROWS),
     )
+    @example(**_SUBNORMAL_QUERY)
     @settings(max_examples=40, deadline=None)
     def test_exact_topk_unchanged(self, data, query):
         if float(query @ query) == 0.0:
             return  # cannot aim a dominated vector without a direction
         k = 5
         before = build_index("exact()", data).search(query, k=k)
-        # ⟨v, q⟩ = kth − 1 < kth by construction: strictly dominated.
-        kth = float(before.scores[-1])
-        dominated = query * ((kth - 1.0) / float(query @ query))
+        dominated = _dominated(query, float(before.scores[-1]))
         grown = np.vstack([data, dominated])
+        if not _scorable(dominated):
+            with pytest.raises(ValueError):
+                build_index("exact()", grown)
+            return
         after = build_index("exact()", grown).search(query, k=k)
         assert np.array_equal(after.ids, before.ids)
         assert np.array_equal(after.scores, before.scores)
@@ -100,6 +125,7 @@ class TestDominatedAppend:
         data=arrays(np.float64, (30, 8), elements=_ROWS),
         query=arrays(np.float64, (8,), elements=_ROWS),
     )
+    @example(**_SUBNORMAL_QUERY)
     @settings(max_examples=15, deadline=None)
     def test_sharded_exact_topk_unchanged(self, data, query):
         if float(query @ query) == 0.0:
@@ -108,9 +134,12 @@ class TestDominatedAppend:
         before = ShardedIndex.build(data, inner="exact()", shards=3, rng=1).search(
             query, k=k
         )
-        kth = float(before.scores[-1])
-        dominated = query * ((kth - 1.0) / float(query @ query))
+        dominated = _dominated(query, float(before.scores[-1]))
         grown = np.vstack([data, dominated])
+        if not _scorable(dominated):
+            with pytest.raises(ValueError):
+                ShardedIndex.build(grown, inner="exact()", shards=3, rng=1)
+            return
         after = ShardedIndex.build(grown, inner="exact()", shards=3, rng=1).search(
             query, k=k
         )

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.engine import CandidateVerifier
 from repro.core.promips import ProMIPS, ProMIPSParams
 from repro.data.datasets import load_dataset
 from repro.eval.metrics import guarantee_success
+from repro.index.ring_idistance import RingIDistance
 from repro.spec import build_index
 
 from conftest import exact_topk_reference
@@ -235,3 +237,62 @@ class TestConditionAPath:
         assert result.stats.extras["stopped_by"] == "condition_a"
         # Condition A prunes hard: nowhere near a full scan.
         assert result.stats.candidates < 200
+
+
+class TestEachIdOfferedOnce:
+    """The running top-k keeps no seen-set, so within one query no id may
+    reach it twice: not across the first range search and the compensation
+    annuli of MIP-Search-II, nor across the rounds of MIP-Search-I's
+    incremental search — also when rows are duplicated and points coincide
+    (equal distances on every annulus boundary)."""
+
+    @pytest.fixture(scope="class")
+    def tied(self):
+        gen = np.random.default_rng(12)
+        data = gen.integers(-2, 3, size=(900, 6)).astype(np.float64)
+        data[600:750] = data[:150]  # duplicate rows
+        data[750:] = data[300]  # 150 coincident points
+        queries = np.vstack(
+            [data[[0, 300, 450]], gen.integers(-2, 3, size=(9, 6)).astype(np.float64)]
+        )
+        index = build_index("promips(p=0.9, m=3, kp=3, n_key=6, ksp=3)", data, rng=2)
+        return index, queries
+
+    def test_verify_calls_of_one_query_share_no_id(self, tied, monkeypatch):
+        index, queries = tied
+        received: list[np.ndarray] = []
+        verify = CandidateVerifier.verify
+
+        def recording(self, topk, ids, *args):
+            received.append(ids.copy())
+            return verify(self, topk, ids, *args)
+
+        monkeypatch.setattr(CandidateVerifier, "verify", recording)
+        expansions = []
+        for k in (10, 300):
+            for query in queries:
+                received.clear()
+                result = index.search(query, k=k)
+                ids = np.concatenate(received)
+                assert np.unique(ids).size == ids.size
+                assert len(received) == result.stats.extras["expansions"] + 1
+                expansions.append(result.stats.extras["expansions"])
+        assert max(expansions) >= 2  # several compensation annuli were covered
+
+    def test_incremental_rounds_share_no_id(self, tied, monkeypatch):
+        index, queries = tied
+        received: list[np.ndarray] = []
+        range_search = RingIDistance.range_search
+
+        def recording(self, *args, **kwargs):
+            ids, dists = range_search(self, *args, **kwargs)
+            received.append(ids)
+            return ids, dists
+
+        monkeypatch.setattr(RingIDistance, "range_search", recording)
+        for query in queries:
+            received.clear()
+            index.search_incremental(query, k=300)
+            ids = np.concatenate(received)
+            assert np.unique(ids).size == ids.size
+            assert len(received) >= 2

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.promips import ProMIPS, ProMIPSParams
 from repro.index.ring_idistance import RingIDistance, column_distances
+from repro.spec import build_index
 from repro.storage.pagefile import AccessCounter, VectorStore
 
 
@@ -211,8 +214,9 @@ def _unbounded(ring, points):
 
 def _reference_range_search(ring, points, query, radius, min_radius,
                             reader=None, unbounded=None):
-    """Tree walk, ``np.linalg.norm`` sphere test, member-by-member read,
-    ``np.linalg.norm`` distances and a stable sort.
+    """Tree walk, ``np.linalg.norm`` sphere test (with the ring's relative
+    slack of m + 8 ulps), member-by-member read, ``np.linalg.norm``
+    distances and a stable sort.
 
     Returns ids, distances and the B+-tree pages of the walk; ``reader``, if
     given, is charged through ``get_many`` one sub-partition at a time.
@@ -221,7 +225,8 @@ def _reference_range_search(ring, points, query, radius, min_radius,
     counter = AccessCounter()
     reached = unbounded._candidate_subpartitions(query, radius, counter)
     pivot_dists = np.linalg.norm(ring.sp_pivots[reached] - query[None, :], axis=1)
-    chosen = reached[pivot_dists <= radius + ring.sp_radii[reached]]
+    slack = 1.0 + (ring.dim + 8) * np.finfo(np.float64).eps
+    chosen = reached[pivot_dists <= (radius + ring.sp_radii[reached]) * slack]
     members = [ring.members(i) for i in chosen]
     rows = [
         reader.get_many(ids) if reader is not None else points[ids] for ids in members
@@ -262,6 +267,66 @@ class TestColumnDistances:
         got = column_distances(columns[:, 123:877], query)
         want = np.linalg.norm(columns.T[123:877] - query[None, :], axis=1)
         assert got.tobytes() == want.tobytes()
+
+
+class TestBoundaryPoints:
+    """A point whose computed distance equals the radius is in range, even
+    where the rounded bounds the range search prunes with (ring keys,
+    sub-partition spheres) put it a few ulps outside.  Pruned once, it is
+    lost for good: the next annulus starts strictly above that radius."""
+
+    def test_probe_point_on_a_sphere_boundary_is_returned(self):
+        # The Quick-Probe radius is the distance to id 0, whose sub-partition
+        # sphere touches the query sphere to the last ulp.
+        gen = np.random.default_rng(3)
+        n = int(gen.integers(2, 6))
+        data = np.abs(gen.standard_normal((n, 2))) + 0.1
+        index = build_index("promips(m=1, kp=1, n_key=2, ksp=1)", data, rng=3)
+        result = index.search(data[2], k=5)
+        assert sorted(result.ids.tolist()) == list(range(n))
+
+    def test_point_on_an_inner_ring_boundary_is_returned(self):
+        # Id 2 lies in ring 2.9999999999999964 of its partition, while the
+        # query's lower ring bound (dis(q, O) - r) / ε rounds to 3.0.
+        points = np.array([[0.3887992451373623], [0.9084817486827258],
+                           [0.2202118741536941], [0.30882676816747145]])
+        ring = RingIDistance(points, kp=3, n_key=1, ksp=1, rng=np.random.default_rng(0))
+        ids, _ = ring.range_search(np.array([-2.746659857242539]), 2.966871731396233)
+        assert 2 in ids.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        m=st.integers(1, 6),
+        kp=st.integers(1, 3),
+        n_key=st.integers(1, 5),
+        ksp=st.integers(1, 3),
+        kind=st.sampled_from(["positive", "integer", "scaled"]),
+    )
+    def test_every_annulus_equals_brute_force(self, seed, n, m, kp, n_key, ksp, kind):
+        """``range_search(q, r, min_radius=r0)`` returns exactly the slots
+        with ``r0 < column_distances(...) <= r``, for every radius that is
+        some point's distance (the boundary cases) and the annulus from the
+        previous one, as the compensation pass asks for them."""
+        gen = np.random.default_rng(seed)
+        if kind == "positive":
+            points = np.abs(gen.standard_normal((n, m))) + 0.1
+        elif kind == "integer":
+            points = gen.integers(-2, 3, size=(n, m)).astype(np.float64)
+        else:
+            points = gen.standard_normal((n, m)) * np.logspace(-3, 3, n)[:, None]
+        ring = RingIDistance(points, kp=kp, n_key=n_key, ksp=ksp, rng=gen)
+        for query in (points[int(gen.integers(n))].copy(),
+                      points[int(gen.integers(n))] + 1e-3 * gen.standard_normal(m),
+                      gen.standard_normal(m)):
+            brute = column_distances(ring._columns, query)
+            previous = -1.0
+            for radius in np.unique(brute).tolist():
+                ids, _ = ring.range_search(query, radius, min_radius=previous)
+                expected = ring.layout_order[(brute <= radius) & (brute > previous)]
+                assert sorted(ids.tolist()) == sorted(expected.tolist())
+                previous = radius
 
 
 class TestRangeSearchReference:

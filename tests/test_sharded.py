@@ -77,6 +77,24 @@ class TestShardCountInvariance:
         assert result.ids.tolist() == [3, 150]
         assert result.scores[0] == result.scores[1]
 
+    @pytest.mark.parametrize("shards", [2, 3, 7])
+    def test_bit_identical_to_unsharded_exact_on_tied_data(self, shards):
+        """Integer data ties most scores, also at the k-th place: each shard
+        and the full scan must keep the same lowest ids among the tied."""
+        gen = np.random.default_rng(shards)
+        for _ in range(40):
+            data = gen.integers(-1, 2, size=(60, 4)).astype(np.float64)
+            queries = gen.integers(-1, 2, size=(5, 4)).astype(np.float64)
+            reference = build_index("exact()", data).search_many(queries, k=7)
+            sharded = ShardedIndex.build(data, inner="exact()", shards=shards, rng=1)
+            batch = sharded.search_many(queries, k=7)
+            assert np.array_equal(batch.ids, reference.ids)
+            assert np.array_equal(batch.scores, reference.scores)
+            for qi, query in enumerate(queries):
+                assert reference.ids[qi].tolist() == (
+                    np.lexsort((np.arange(60), -(data @ query)))[:7].tolist()
+                )
+
     def test_approximate_inner_batch_matches_looped_search(self, workload):
         """The bit-identity of batch vs loop survives sharding for ProMIPS."""
         data, queries = workload
