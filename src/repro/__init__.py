@@ -66,7 +66,7 @@ from repro.spec import (
     registered_methods,
 )
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "MIPSIndex",

@@ -10,19 +10,24 @@ cells.
 Pieces implemented here:
 
 * :class:`ProductQuantizer` — classic PQ: split dimensions into subspaces,
-  one k-means codebook per subspace, ADC lookup tables at query time.
+  one k-means codebook per subspace (:meth:`ProductQuantizer.train`), ADC
+  lookup tables at query time.
 * :func:`train_opq_rotation` — parametric OPQ: alternate PQ fitting with an
   orthogonal Procrustes solve of ``min_R ‖XR − decode(encode(XR))‖_F``.
 * :class:`PQBasedMIPS` — the full baseline: QNF transform → coarse k-means
   cells → per-cell rotation of residuals (locally optimized, as in LOPQ) →
   per-cell (or global-fallback) PQ codebooks → inverted lists on disk →
-  ADC scan of probed cells → exact re-ranking of the short-list.
+  ADC scan of probed cells → exact re-ranking of the short-list.  The
+  build and :meth:`PQBasedMIPS.from_state` end in one assembly; only the
+  build trains.
 
 There is no accuracy guarantee — the paper includes it precisely as the
 guarantee-free comparison point.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +41,7 @@ from repro.api import (
     validate_data,
 )
 from repro.cluster.kmeans import assign_to_centers, kmeans
-from repro.baselines.transforms import qnf_transform_data, qnf_transform_query
+from repro.baselines.transforms import qnf_scale, qnf_transform_data, qnf_transform_query
 from repro.core.engine import batch_inner_products, merge_topk_panels
 from repro.core.rng import resolve_rng
 from repro.spec import IndexSpec, register_method
@@ -46,71 +51,68 @@ __all__ = ["ProductQuantizer", "train_opq_rotation", "PQBasedMIPS"]
 
 
 class ProductQuantizer:
-    """Product quantizer over ``n_subspaces`` dimension chunks.
+    """Product quantizer over consecutive dimension chunks, constructed
+    from trained codebooks (:meth:`train` fits them).
 
     Args:
-        dim: input dimensionality.
-        n_subspaces: number of chunks (reduced automatically if ``dim`` is
-            smaller).
-        n_centroids: codebook size per subspace (capped at the training-set
-            size during :meth:`fit`).
+        codebooks: one ``(n_centroids, width)`` codebook per subspace; the
+            subspaces are consecutive chunks of ``sum(width)`` dimensions.
     """
 
-    def __init__(self, dim: int, n_subspaces: int, n_centroids: int) -> None:
-        if dim <= 0:
-            raise ValueError(f"dim must be positive, got {dim}")
+    def __init__(self, codebooks: list[np.ndarray]) -> None:
+        self.codebooks = [np.asarray(cb, dtype=np.float64) for cb in codebooks]
+        if not self.codebooks or any(cb.ndim != 2 or 0 in cb.shape for cb in self.codebooks):
+            raise ValueError("codebooks must be one or more non-empty 2-D arrays")
+        bounds = np.cumsum([0] + [cb.shape[1] for cb in self.codebooks])
+        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.dim = int(bounds[-1])
+        self.n_subspaces = len(self.codebooks)
+
+    @classmethod
+    def train(
+        cls, points: np.ndarray, n_subspaces: int, n_centroids: int, rng: np.random.Generator
+    ) -> "ProductQuantizer":
+        """Train one k-means codebook per subspace; ``n_subspaces`` is capped
+        at the dimensionality and ``n_centroids`` at the number of points."""
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or 0 in points.shape:
+            raise ValueError(f"points must be a non-empty (n, d) array, got {points.shape}")
         if n_subspaces <= 0 or n_centroids <= 0:
             raise ValueError("n_subspaces and n_centroids must be positive")
-        self.dim = int(dim)
-        self.n_subspaces = min(int(n_subspaces), self.dim)
-        self.n_centroids = int(n_centroids)
-        bounds = np.linspace(0, self.dim, self.n_subspaces + 1).astype(int)
-        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self.codebooks: list[np.ndarray] | None = None
-
-    def fit(self, train: np.ndarray, rng: np.random.Generator) -> "ProductQuantizer":
-        """Train one k-means codebook per subspace."""
-        train = np.asarray(train, dtype=np.float64)
-        if train.ndim != 2 or train.shape[1] != self.dim:
-            raise ValueError(f"train must be (n, {self.dim}), got {train.shape}")
-        ks = min(self.n_centroids, train.shape[0])
-        self.codebooks = [
-            kmeans(train[:, sl], ks, rng, max_iter=25).centers for sl in self._slices
-        ]
-        return self
-
-    def _require_fit(self) -> list[np.ndarray]:
-        if self.codebooks is None:
-            raise RuntimeError("ProductQuantizer is not fitted; call fit() first")
-        return self.codebooks
+        n, dim = points.shape
+        bounds = np.linspace(0, dim, min(int(n_subspaces), dim) + 1).astype(int)
+        ks = min(int(n_centroids), n)
+        return cls(
+            [
+                kmeans(points[:, a:b], ks, rng, max_iter=25).centers
+                for a, b in zip(bounds[:-1], bounds[1:])
+            ]
+        )
 
     def encode(self, points: np.ndarray) -> np.ndarray:
         """Quantize points to ``(n, n_subspaces)`` centroid indices."""
-        codebooks = self._require_fit()
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         codes = np.empty((points.shape[0], self.n_subspaces), dtype=np.uint16)
         for s, sl in enumerate(self._slices):
-            codes[:, s] = assign_to_centers(points[:, sl], codebooks[s])
+            codes[:, s] = assign_to_centers(points[:, sl], self.codebooks[s])
         return codes
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """Reconstruct points from codes."""
-        codebooks = self._require_fit()
         codes = np.atleast_2d(codes)
         out = np.empty((codes.shape[0], self.dim))
         for s, sl in enumerate(self._slices):
-            out[:, sl] = codebooks[s][codes[:, s]]
+            out[:, sl] = self.codebooks[s][codes[:, s]]
         return out
 
     def adc_tables(self, query: np.ndarray) -> list[np.ndarray]:
         """Per-subspace squared-distance lookup tables for a query."""
-        codebooks = self._require_fit()
         query = np.asarray(query, dtype=np.float64).reshape(-1)
         if query.shape[0] != self.dim:
             raise ValueError(f"query has dimension {query.shape[0]}, expected {self.dim}")
         tables = []
         for s, sl in enumerate(self._slices):
-            diff = codebooks[s] - query[sl][None, :]
+            diff = self.codebooks[s] - query[sl][None, :]
             tables.append(np.einsum("ij,ij->i", diff, diff))
         return tables
 
@@ -124,8 +126,6 @@ class ProductQuantizer:
 
     def size_bytes(self) -> int:
         """Codebook footprint (float32 accounting, as stored on disk)."""
-        if self.codebooks is None:
-            return 0
         return sum(cb.size * 4 for cb in self.codebooks)
 
 
@@ -143,27 +143,33 @@ def train_opq_rotation(
     solution is ``R = U·Vᵀ`` for ``trainᵀ·recon = U·Σ·Vᵀ``.
     """
     train = np.asarray(train, dtype=np.float64)
-    dim = train.shape[1]
-    rotation = np.eye(dim)
+    rotation = np.eye(train.shape[1])
     for _ in range(max(0, n_iter)):
         rotated = train @ rotation
-        pq = ProductQuantizer(dim, n_subspaces, n_centroids).fit(rotated, rng)
+        pq = ProductQuantizer.train(rotated, n_subspaces, n_centroids, rng)
         recon = pq.decode(pq.encode(rotated))
         u, _, vt = np.linalg.svd(train.T @ recon)
         rotation = u @ vt
     return rotation
 
 
-class _Cell:
-    __slots__ = ("center", "rotation", "pq", "codes", "member_ids", "list_pages")
+class _Cell(NamedTuple):
+    """One coarse cell's inverted list and its quantizer (the global one,
+    with the identity rotation, unless the cell trained its own)."""
 
-    def __init__(self, center, rotation, pq, codes, member_ids, list_pages) -> None:
-        self.center = center
-        self.rotation = rotation
-        self.pq = pq
-        self.codes = codes
-        self.member_ids = member_ids
-        self.list_pages = list_pages
+    member_ids: np.ndarray
+    codes: np.ndarray
+    rotation: np.ndarray
+    pq: ProductQuantizer
+
+
+def _stored_quantizer(state: dict[str, np.ndarray], prefix: str) -> ProductQuantizer:
+    """The quantizer whose codebooks :meth:`PQBasedMIPS.state` stored as
+    ``{prefix}cb0``, ``{prefix}cb1``, ..."""
+    codebooks = []
+    while f"{prefix}cb{len(codebooks)}" in state:
+        codebooks.append(state[f"{prefix}cb{len(codebooks)}"])
+    return ProductQuantizer(codebooks)
 
 
 @register_method("pq", aliases=("PQ-Based", "PQBased", "PQBasedMIPS"))
@@ -208,71 +214,69 @@ class PQBasedMIPS:
     ) -> None:
         rng = resolve_rng(rng)
         data = validate_data(data)
-        self._data = data
-        self.n, self.dim = data.shape
-        self.n_probe = int(n_probe)
-        self.rerank = int(rerank)
-        self.rerank_fraction = float(rerank_fraction)
-        self.page_size = int(page_size)
-        self.n_centroids = int(n_centroids)
-        self.opq_iters = int(opq_iters)
-        self.min_local_train = int(min_local_train)
-
-        transformed, self.max_norm = qnf_transform_data(data)
-        tdim = transformed.shape[1]
+        transformed, _ = qnf_transform_data(data)
         if n_coarse is None:
-            n_coarse = int(np.clip(self.n // 256, 8, 256))
+            n_coarse = int(np.clip(data.shape[0] // 256, 8, 256))
         coarse = kmeans(transformed, n_coarse, rng, max_iter=25)
-        self.coarse_centers = coarse.centers
-        self.n_coarse = coarse.n_clusters
 
         # Global fallback codebooks over all residuals.
         residuals = transformed - coarse.centers[coarse.labels]
-        self._global_pq = ProductQuantizer(tdim, n_subspaces, n_centroids).fit(
-            residuals, rng
-        )
-        identity = np.eye(tdim)
+        global_pq = ProductQuantizer.train(residuals, n_subspaces, n_centroids, rng)
+        identity = np.eye(transformed.shape[1])
 
-        self.cells: list[_Cell] = []
-        layout_chunks: list[np.ndarray] = []
-        code_bytes_per_point = self._global_pq.n_subspaces * 2 + 4  # codes + id
-        for j in range(self.n_coarse):
-            member_ids = coarse.cluster_members(j)
+        cells = []
+        for j in range(coarse.n_clusters):
+            member_ids = coarse.cluster_members(j).astype(np.int64)
             cell_res = residuals[member_ids]
+            rotation, pq = identity, global_pq
             if member_ids.size >= min_local_train and opq_iters > 0:
                 rotation = train_opq_rotation(
                     cell_res, n_subspaces, n_centroids, rng, n_iter=opq_iters
                 )
-                pq = ProductQuantizer(tdim, n_subspaces, n_centroids).fit(
-                    cell_res @ rotation, rng
+                pq = ProductQuantizer.train(
+                    cell_res @ rotation, n_subspaces, n_centroids, rng
                 )
-            else:
-                rotation = identity
-                pq = self._global_pq
-            codes = pq.encode(cell_res @ rotation)
-            list_pages = -(-int(member_ids.size) * code_bytes_per_point // page_size)
-            self.cells.append(
-                _Cell(
-                    center=self.coarse_centers[j],
-                    rotation=rotation,
-                    pq=pq,
-                    codes=codes,
-                    member_ids=member_ids.astype(np.int64),
-                    list_pages=max(1, list_pages),
-                )
-            )
-            layout_chunks.append(member_ids)
+            cells.append(_Cell(member_ids, pq.encode(cell_res @ rotation), rotation, pq))
 
-        layout = np.concatenate(layout_chunks).astype(np.int64)
-        self._store = VectorStore(data, page_size, layout_order=layout, label="pq-orig")
-        # ‖c_j‖² for the norm-expanded coarse scan of the batch path.
-        self._center_norm_sq = np.einsum(
-            "ij,ij->i", self.coarse_centers, self.coarse_centers
+        self._assemble(
+            data, coarse.centers, global_pq, cells,
+            n_centroids=n_centroids, n_probe=n_probe, rerank=rerank,
+            rerank_fraction=rerank_fraction, opq_iters=opq_iters,
+            min_local_train=min_local_train, page_size=page_size,
         )
 
-    @property
-    def n_subspaces(self) -> int:
-        return self._global_pq.n_subspaces
+    def _assemble(
+        self, data: np.ndarray, coarse_centers: np.ndarray, global_pq: ProductQuantizer,
+        cells: list[_Cell], *, n_centroids: int, n_probe: int, rerank: int,
+        rerank_fraction: float, opq_iters: int, min_local_train: int, page_size: int,
+    ) -> None:
+        """The end of the build and of :meth:`from_state`: stores the trained
+        parts and derives the rest — QNF scale, inverted-list pages, the store
+        of the original vectors in inverted-list order, centre norms."""
+        self._data = data
+        self.n, self.dim = data.shape
+        self.max_norm = qnf_scale(data)
+        self.coarse_centers = coarse_centers
+        self._global_pq = global_pq
+        self.cells = cells
+        self.n_coarse = len(cells)
+        self.n_subspaces = global_pq.n_subspaces
+        self.n_centroids = int(n_centroids)
+        self.n_probe = int(n_probe)
+        self.rerank = int(rerank)
+        self.rerank_fraction = float(rerank_fraction)
+        self.opq_iters = int(opq_iters)
+        self.min_local_train = int(min_local_train)
+        self.page_size = int(page_size)
+        code_bytes_per_point = global_pq.n_subspaces * 2 + 4  # codes + id
+        self._list_pages = [
+            max(1, -(-int(cell.member_ids.size) * code_bytes_per_point // self.page_size))
+            for cell in cells
+        ]
+        layout = np.concatenate([cell.member_ids for cell in cells])
+        self._store = VectorStore(data, self.page_size, layout_order=layout, label="pq-orig")
+        # ‖c_j‖² for the norm-expanded coarse scan of the batch path.
+        self._center_norm_sq = np.einsum("ij,ij->i", coarse_centers, coarse_centers)
 
     # ------------------------------------------------------- registry contract
 
@@ -332,70 +336,23 @@ class PQBasedMIPS:
     @classmethod
     def from_state(cls, spec: IndexSpec, state: dict[str, np.ndarray]) -> "PQBasedMIPS":
         """Reconstruct without re-training (bit-identical ADC scans)."""
-        params = dict(spec.params)
-        self = cls.__new__(cls)
-        data = np.asarray(state["data"], dtype=np.float64)
-        self._data = data
-        self.n, self.dim = data.shape
-        self.n_probe = int(params.get("n_probe", 16))
-        self.rerank = int(params.get("rerank", 10))
-        self.rerank_fraction = float(params.get("rerank_fraction", 0.5))
-        self.page_size = int(params.get("page_size", DEFAULT_PAGE_SIZE))
-        self.n_centroids = int(params.get("n_centroids", 256))
-        self.opq_iters = int(params.get("opq_iters", 2))
-        self.min_local_train = int(params.get("min_local_train", 256))
-        n_subspaces = int(params.get("n_subspaces", 16))
-
-        # QNF scale, exactly as qnf_transform_data derives it.
-        max_norm = float(np.linalg.norm(data, axis=1).max())
-        self.max_norm = max_norm if max_norm > 0 else 1.0
-
-        self.coarse_centers = np.asarray(state["coarse_centers"], dtype=np.float64)
-        self.n_coarse = self.coarse_centers.shape[0]
-        tdim = self.coarse_centers.shape[1]
-
-        def load_pq(prefix: str) -> ProductQuantizer:
-            pq = ProductQuantizer(tdim, n_subspaces, self.n_centroids)
-            pq.codebooks = [
-                np.asarray(state[f"{prefix}cb{s}"], dtype=np.float64)
-                for s in range(pq.n_subspaces)
-            ]
-            return pq
-
-        self._global_pq = load_pq("global_")
-        uses_global = np.asarray(state["cell_uses_global"]).astype(bool)
-        identity = np.eye(tdim)
-        code_bytes_per_point = self._global_pq.n_subspaces * 2 + 4
-        self.cells = []
-        layout_chunks = []
-        for j in range(self.n_coarse):
+        data = validate_data(state["data"])
+        coarse_centers = np.asarray(state["coarse_centers"], dtype=np.float64)
+        global_pq = _stored_quantizer(state, "global_")
+        identity = np.eye(coarse_centers.shape[1])
+        cells = []
+        for j, uses_global in enumerate(np.asarray(state["cell_uses_global"], dtype=bool)):
+            rotation, pq = identity, global_pq
+            if not uses_global:
+                rotation = np.asarray(state[f"cell{j}_rotation"], dtype=np.float64)
+                pq = _stored_quantizer(state, f"cell{j}_")
             member_ids = np.asarray(state[f"cell{j}_members"], dtype=np.int64)
             codes = np.asarray(state[f"cell{j}_codes"], dtype=np.uint16)
-            if uses_global[j]:
-                rotation, pq = identity, self._global_pq
-            else:
-                rotation = np.asarray(state[f"cell{j}_rotation"], dtype=np.float64)
-                pq = load_pq(f"cell{j}_")
-            list_pages = -(-int(member_ids.size) * code_bytes_per_point // self.page_size)
-            self.cells.append(
-                _Cell(
-                    center=self.coarse_centers[j],
-                    rotation=rotation,
-                    pq=pq,
-                    codes=codes,
-                    member_ids=member_ids,
-                    list_pages=max(1, list_pages),
-                )
-            )
-            layout_chunks.append(member_ids)
-
-        layout = np.concatenate(layout_chunks).astype(np.int64)
-        self._store = VectorStore(
-            data, self.page_size, layout_order=layout, label="pq-orig"
-        )
-        self._center_norm_sq = np.einsum(
-            "ij,ij->i", self.coarse_centers, self.coarse_centers
-        )
+            cells.append(_Cell(member_ids, codes, rotation, pq))
+        # n_subspaces and n_coarse are the counts of stored codebooks and cells.
+        params = {k: v for k, v in spec.params.items() if k not in ("n_subspaces", "n_coarse")}
+        self = cls.__new__(cls)
+        self._assemble(data, coarse_centers, global_pq, cells, **params)
         return self
 
     def index_size_bytes(self) -> int:
@@ -468,7 +425,7 @@ class PQBasedMIPS:
             codes = cell.codes
             tables = []
             for i in q_idx:
-                q_res = (q_ts[i] - cell.center) @ cell.rotation
+                q_res = (q_ts[i] - self.coarse_centers[j]) @ cell.rotation
                 tables.append(cell.pq.adc_tables(q_res))
             acc = np.zeros((len(q_idx), codes.shape[0]))
             for s in range(cell.pq.n_subspaces):
@@ -487,7 +444,7 @@ class PQBasedMIPS:
                 cell = self.cells[j]
                 if cell.member_ids.size == 0:
                     continue
-                code_pages += cell.list_pages
+                code_pages += self._list_pages[j]
                 approx_ids.append(cell.member_ids)
                 approx_dists.append(cell_dists[(j, i)])
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "qnf_scale",
     "qnf_transform_data",
     "qnf_transform_query",
     "qnf_distance_to_ip",
@@ -40,19 +41,26 @@ def _augment_with_residual(data: np.ndarray, scale: float) -> np.ndarray:
     return np.hstack([data, np.sqrt(residual_sq)[:, None]])
 
 
+def qnf_scale(data: np.ndarray) -> float:
+    """The QNF constant ``M`` of a dataset: its largest norm (1.0 for an
+    all-zero dataset, whose residual coordinate then carries everything)."""
+    max_norm = float(np.linalg.norm(np.asarray(data, dtype=np.float64), axis=1).max())
+    return max_norm if max_norm > 0 else 1.0
+
+
 def qnf_transform_data(data: np.ndarray, max_norm: float | None = None) -> tuple[np.ndarray, float]:
-    """QNF-transform a dataset; returns the ``(n, d+1)`` points and the M used."""
+    """QNF-transform a dataset; returns the ``(n, d+1)`` points and the M used
+    (:func:`qnf_scale` of the data unless ``max_norm`` is given)."""
     data = np.asarray(data, dtype=np.float64)
-    norms = np.linalg.norm(data, axis=1)
     if max_norm is None:
-        max_norm = float(norms.max())
-    elif norms.size and norms.max() > max_norm * (1 + 1e-12):
-        raise ValueError(
-            f"max_norm={max_norm} is smaller than the largest data norm {norms.max()}"
-        )
-    if max_norm <= 0:
-        # An all-zero dataset: the residual coordinate carries everything.
-        max_norm = 1.0
+        max_norm = qnf_scale(data)
+    else:
+        norms = np.linalg.norm(data, axis=1)
+        if norms.size and norms.max() > max_norm * (1 + 1e-12):
+            raise ValueError(
+                f"max_norm={max_norm} is smaller than the largest data norm {norms.max()}"
+            )
+        max_norm = max_norm if max_norm > 0 else 1.0
     return _augment_with_residual(data, max_norm), max_norm
 
 

@@ -40,6 +40,9 @@ rebuild snapshot, ``state()``) are therefore row-ordered masks of
 ``_external_of`` — no sort, no per-id Python work.  External ids are
 stable across compactions; only their rows move.
 
+The build and :meth:`DynamicProMIPS.from_state` end in the same setup and
+generation install; a load differs only in where the generation comes from.
+
 For *serving*, the synchronous compaction above is the wrong shape: it runs
 inside ``insert``/``delete`` and, behind a request lock, stalls every
 concurrent query for the whole build.  The **generational protocol**
@@ -81,6 +84,7 @@ from repro.api import (
     validate_k,
     validate_queries,
     validate_query,
+    validate_data,
 )
 from repro.core.engine import (
     MERGE_SENTINEL,
@@ -102,6 +106,19 @@ def _grown(array: np.ndarray, used: int) -> np.ndarray:
     return grown
 
 
+# The compaction thresholds' defaults (fractions of the indexed size).
+_REBUILD_THRESHOLD, _COMPACT_THRESHOLD = 0.2, 0.25
+
+
+def _split_spec(params: dict) -> tuple[dict, float, float]:
+    """A dynamic spec's ProMIPS parameters and its two thresholds (specs
+    written before 1.5 have no ``compact_threshold``)."""
+    params = dict(params)
+    rebuild_threshold = params.pop("rebuild_threshold", _REBUILD_THRESHOLD)
+    compact_threshold = params.pop("compact_threshold", _COMPACT_THRESHOLD)
+    return params, rebuild_threshold, compact_threshold
+
+
 @register_method("dynamic", aliases=("Dynamic", "DynamicProMIPS"))
 class DynamicProMIPS:
     """ProMIPS with insert/delete support via a delta buffer + tombstones.
@@ -121,9 +138,34 @@ class DynamicProMIPS:
         data: np.ndarray,
         params: ProMIPSParams | None = None,
         rng: np.random.Generator | int | None = None,
-        rebuild_threshold: float = 0.2,
-        compact_threshold: float = 0.25,
+        rebuild_threshold: float = _REBUILD_THRESHOLD,
+        compact_threshold: float = _COMPACT_THRESHOLD,
     ) -> None:
+        self._setup(
+            params or ProMIPSParams(), resolve_rng(rng), rebuild_threshold,
+            compact_threshold, rebuilds=0, reclaimed_bytes=0,
+        )
+        index = ProMIPS.build(data, self.params, rng=self._rng)
+        # Stable external ids: indexed points get 0..n-1; inserts continue.
+        # Inserts go to a delta buffer of their own, so `data` (which the
+        # inner index holds as its data) is never written.
+        ids = np.arange(index.n, dtype=np.int64)
+        self._install_generation(
+            index,
+            np.empty((0, index.dim), dtype=np.float64),
+            ids,
+            ids.copy(),
+            np.zeros(index.n, dtype=bool),
+        )
+        self._next_id = index.n
+
+    def _setup(
+        self, params: ProMIPSParams, rng: np.random.Generator,
+        rebuild_threshold: float, compact_threshold: float,
+        rebuilds: int, reclaimed_bytes: int,
+    ) -> None:
+        """The build's and :meth:`from_state`'s shared start: parameters,
+        generator, validated thresholds, maintenance counters and flags."""
         if not 0.0 < rebuild_threshold <= 1.0:
             raise ValueError(
                 f"rebuild_threshold must be in (0, 1], got {rebuild_threshold}"
@@ -132,29 +174,12 @@ class DynamicProMIPS:
             raise ValueError(
                 f"compact_threshold must be in (0, 1], got {compact_threshold}"
             )
-        self._rng = resolve_rng(rng)
-        self.params = params or ProMIPSParams()
+        self.params = params
+        self._rng = rng
         self.rebuild_threshold = float(rebuild_threshold)
         self.compact_threshold = float(compact_threshold)
-
-        data = np.asarray(data, dtype=np.float64)
-        index = ProMIPS.build(data, self.params, rng=self._rng)
-        self.dim = index.dim
-        n = index.n
-        # Stable external ids: indexed points get 0..n-1; inserts continue.
-        # Inserts go to a delta buffer of their own, so `data` (which the
-        # inner index holds as its data) is never written.
-        ids = np.arange(n, dtype=np.int64)
-        self._install_generation(
-            index,
-            np.empty((0, self.dim), dtype=np.float64),
-            ids,
-            ids.copy(),
-            np.zeros(n, dtype=bool),
-        )
-        self._next_id = n
-        self.rebuilds = 0
-        self.reclaimed_bytes = 0
+        self.rebuilds = int(rebuilds)
+        self.reclaimed_bytes = int(reclaimed_bytes)
         # True while a MaintenanceEngine owns compaction scheduling: the
         # synchronous trigger inside insert/delete is suppressed.
         self.defer_maintenance = False
@@ -178,6 +203,7 @@ class DynamicProMIPS:
         passes: under serving, every numpy call that releases the GIL can
         park a mutation behind a concurrent search."""
         self._index = index
+        self.dim = index.dim
         self._delta_buf = delta
         self._n_rows = index.n + delta.shape[0]
         self._external_of = external_of
@@ -198,9 +224,7 @@ class DynamicProMIPS:
         """Build from a spec: ProMIPS parameters plus the two maintenance
         thresholds, e.g. ``dynamic(c=0.9, rebuild_threshold=0.2,
         compact_threshold=0.25)``."""
-        params = dict(spec.params)
-        rebuild_threshold = params.pop("rebuild_threshold", 0.2)
-        compact_threshold = params.pop("compact_threshold", 0.25)
+        params, rebuild_threshold, compact_threshold = _split_spec(spec.params)
         return cls(
             data,
             ProMIPSParams(**params),
@@ -267,10 +291,13 @@ class DynamicProMIPS:
         Envelopes written before that position was saved get a freshly
         OS-seeded generator; everything a search touches is restored exactly.
         """
-        thresholds = ("rebuild_threshold", "compact_threshold")
-        params = {k: v for k, v in spec.params.items() if k not in thresholds}
-        inner_spec = IndexSpec(
-            "promips", {**params, "m": int(state["inner_m"][0])}
+        params, rebuild_threshold, compact_threshold = _split_spec(spec.params)
+        rng = restore_generator(state["rng_state"]) if "rng_state" in state else resolve_rng(None)
+        self = cls.__new__(cls)
+        self._setup(
+            ProMIPSParams(**params), rng, rebuild_threshold, compact_threshold,
+            rebuilds=int(state["rebuilds"][0]),
+            reclaimed_bytes=int(state.get("reclaimed_bytes", [0])[0]),
         )
         vectors = np.asarray(state["vectors"], dtype=np.float64)
         # Pre-1.5 envelopes stored every vector positionally by external id
@@ -280,11 +307,7 @@ class DynamicProMIPS:
             row_external = np.asarray(state["row_external"], dtype=np.int64)
         else:
             row_external = np.arange(vectors.shape[0], dtype=np.int64)
-        next_id = (
-            int(state["next_id"][0])
-            if "next_id" in state
-            else vectors.shape[0]
-        )
+        next_id = int(state.get("next_id", [vectors.shape[0]])[0])
         indexed_external = np.asarray(state["indexed_external"], dtype=np.int64)
         n_indexed = indexed_external.size
         # The row layout: the generation in inner-index order, then the
@@ -303,6 +326,9 @@ class DynamicProMIPS:
         else:
             indexed = vectors[positions[:n_indexed]]
             delta = vectors[positions[n_indexed:]]
+        # The inner index validates the generation's rows, this the delta's.
+        if delta.shape[0]:
+            validate_data(delta)
         n_rows = external_of.size
         row_of = np.full(next_id, -1, dtype=np.int64)
         row_of[external_of] = np.arange(n_rows)
@@ -318,26 +344,10 @@ class DynamicProMIPS:
             if k.startswith("promips_")
         }
         inner_state["data"] = indexed
+        inner_spec = IndexSpec("promips", {**params, "m": int(state["inner_m"][0])})
         inner = ProMIPS.from_state(inner_spec, inner_state)
-
-        self = cls.__new__(cls)
-        self._rng = (
-            restore_generator(state["rng_state"])
-            if "rng_state" in state
-            else resolve_rng(None)
-        )
-        self.params = ProMIPSParams(**params)
-        self.rebuild_threshold = float(spec.params.get("rebuild_threshold", 0.2))
-        self.compact_threshold = float(spec.params.get("compact_threshold", 0.25))
-        self.dim = inner.dim
-        self._install_generation(
-            inner, delta, external_of, row_of, tombstone_mask
-        )
+        self._install_generation(inner, delta, external_of, row_of, tombstone_mask)
         self._next_id = next_id
-        self.rebuilds = int(state["rebuilds"][0])
-        self.reclaimed_bytes = int(state.get("reclaimed_bytes", [0])[0])
-        self.defer_maintenance = False
-        self._rebuild_in_progress = False
         return self
 
     # ------------------------------------------------------------- mutation
@@ -358,6 +368,11 @@ class DynamicProMIPS:
     def n_live(self) -> int:
         """Number of live (non-deleted) points."""
         return self._index.n - self._n_tombstones + self._n_delta
+
+    @property
+    def next_id(self) -> int:
+        """The id the next insert gets: one past every id handed out."""
+        return self._next_id
 
     @property
     def delta_size(self) -> int:

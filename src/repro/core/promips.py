@@ -203,9 +203,10 @@ class ProMIPS:
 
     @classmethod
     def from_state(cls, spec: IndexSpec, state: dict[str, np.ndarray]) -> "ProMIPS":
-        """Reconstruct a built index from :meth:`spec` + :meth:`state` output."""
+        """Reconstruct a built index from :meth:`spec` + :meth:`state` output;
+        ``data`` is validated once, as in :meth:`build`."""
         params = ProMIPSParams(**spec.params)
-        data = np.asarray(state["data"], dtype=np.float64)
+        data = validate_data(state["data"])
         ring_state = {
             key[len("ring_"):]: state[key] for key in state if key.startswith("ring_")
         }

@@ -38,7 +38,9 @@ the owning shard via the member table.
 Persistence nests one v2 sub-envelope per shard (method + spec + state
 arrays, see :func:`repro.core.persist.pack_substate`) inside the composite's
 own ``state()``, so a sharded index round-trips through the same
-``save_index``/``load_index`` pair as every other method.
+``save_index``/``load_index`` pair as every other method.  The build and
+the load both end in the constructor, which rejects member tables that
+cannot belong to their shards.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ class ShardedIndex:
         inner_spec: IndexSpec,
         requested_shards: int,
         assignment: str,
-        next_id: int | None = None,
+        next_id: int,
     ) -> None:
         if not shards or len(shards) != len(members):
             raise ValueError(
@@ -147,11 +149,8 @@ class ShardedIndex:
         self.requested_shards = int(requested_shards)
         self.assignment = assignment
         self.dim = dims.pop()
-        self._next_id = (
-            int(next_id)
-            if next_id is not None
-            else int(max(int(m[-1]) for m in self._member_bufs)) + 1
-        )
+        self._next_id = int(next_id)
+        self._check_members()
         # Wall-clock seconds each shard spent answering the last
         # ``search_many`` call (the throughput harness reports these).
         self.last_shard_seconds: list[float] | None = None
@@ -160,6 +159,23 @@ class ShardedIndex:
         # exit when the index (and so the pool) is collected.
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
+
+    def _check_members(self) -> None:
+        """Reject member tables that cannot map their shards' local ids:
+        table ``s`` holds one global id per local id of shard ``s``,
+        strictly ascending within ``[0, next_id)``, owned by no other shard."""
+        owner = np.full(self._next_id, -1, dtype=np.int64)
+        for s, shard in enumerate(self.shards):
+            table = self._shard_members(s)
+            # A mutable shard's local ids include every insert, deleted or not.
+            local_ids = shard.next_id if hasattr(shard, "next_id") else shard.n
+            if table.size != local_ids:
+                raise ValueError(f"members{s} holds {table.size} ids for {local_ids} local ids")
+            if table[0] < 0 or table[-1] >= self._next_id or np.any(np.diff(table) <= 0):
+                raise ValueError(f"members{s} must ascend within [0, next_id={self._next_id})")
+            if np.any(owner[table] >= 0):
+                raise ValueError(f"members{owner[table].max()} and members{s} share global ids")
+            owner[table] = s
 
     # ------------------------------------------------------------------ build
 

@@ -10,6 +10,8 @@ and scores, and matching per-query page/candidate accounting.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -226,20 +228,46 @@ class TestAnswerOrder:
             assert ordered.all(), f"row {i}: ids {ids} scores {scores}"
 
 
+# Unscorable values and the build's error for each; a load of a state
+# holding them must fail the same way.
+UNSCORABLE = pytest.mark.parametrize("bad, message", [
+    (np.nan, "non-finite"),
+    (np.inf, "non-finite"),
+    (-np.inf, "non-finite"),
+    (1e300, "squared norm overflows"),
+], ids=["nan", "inf", "-inf", "norm-overflow"])
+
+
 class TestDataValidation:
     @pytest.mark.parametrize("name", sorted(PARITY_SPECS))
-    @pytest.mark.parametrize("bad, message", [
-        (np.nan, "non-finite"),
-        (np.inf, "non-finite"),
-        (-np.inf, "non-finite"),
-        (1e300, "squared norm overflows"),
-    ], ids=["nan", "inf", "-inf", "norm-overflow"])
+    @UNSCORABLE
     def test_every_method_rejects_unscorable_data(self, workload, name, bad, message):
         data, _ = workload
         broken = data.copy()
         broken[5, 3] = bad
         with pytest.raises(ValueError, match=message):
             build_index(PARITY_SPECS[name], broken, rng=3)
+
+    @pytest.mark.parametrize("name", sorted(PARITY_SPECS))
+    @UNSCORABLE
+    def test_every_load_rejects_unscorable_data(
+        self, registry_indexes, name, bad, message
+    ):
+        """A load is as strict as a build: the same value tampered into the
+        stored data arrays of a built index's state fails ``from_state``
+        with the build's error."""
+        index = registry_indexes[name]
+        state = dict(index.state())
+        data_keys = [
+            key for key in state
+            if key in ("data", "vectors") or re.fullmatch(r"shard\d+_state__data", key)
+        ]
+        assert data_keys
+        for key in data_keys:
+            state[key] = np.array(state[key], dtype=np.float64)
+            state[key][5, 3] = bad
+        with pytest.raises(ValueError, match=message):
+            type(index).from_state(index.spec(), state)
 
 
 class TestBatchResult:

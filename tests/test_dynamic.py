@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.dynamic import DynamicProMIPS
 from repro.core.promips import ProMIPSParams
+from repro.spec import IndexSpec
 
 from conftest import exact_topk_reference
 
@@ -146,6 +147,27 @@ class TestLifecycle:
         data, _ = latent_small
         with pytest.raises(ValueError):
             DynamicProMIPS(data[:100], PARAMS, rebuild_threshold=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("rebuild_threshold", 0.0),
+        ("compact_threshold", 1.5),
+    ])
+    def test_load_rejects_what_the_spec_rejects(self, dyn, name, value):
+        _, index = dyn
+        spec = IndexSpec("dynamic", {**index.spec().params, name: value})
+        with pytest.raises(ValueError, match=name):
+            DynamicProMIPS.from_spec(np.ones((4, 3)), spec)
+        with pytest.raises(ValueError, match=name):
+            DynamicProMIPS.from_state(spec, index.state())
+
+    def test_load_rejects_unscorable_delta_rows(self, dyn):
+        data, index = dyn
+        index.insert(data[900])
+        state = index.state()
+        state["vectors"] = state["vectors"].copy()
+        state["vectors"][-1, 0] = np.nan  # the inserted row
+        with pytest.raises(ValueError, match="non-finite"):
+            DynamicProMIPS.from_state(index.spec(), state)
 
     def test_search_rejects_bad_k(self, dyn):
         data, index = dyn

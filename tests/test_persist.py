@@ -9,9 +9,11 @@ import pytest
 
 from repro.core.persist import inspect_index, load_index, save_index
 from repro.core.promips import ProMIPS, ProMIPSParams
-from repro.spec import build_index
+from repro.spec import build_index, registered_methods
 
-# One buildable spec per registered method (small, fast parameters).
+# One buildable spec per registered method (small, fast parameters).  A newly
+# registered method fails `test_specs_cover_every_method` until it gets an
+# entry here, and with it round-trip coverage.
 METHOD_SPECS = {
     "promips": "promips(c=0.85, p=0.6, m=5, kp=3, n_key=10, ksp=4)",
     "dynamic": "dynamic(c=0.85, m=5, kp=3, n_key=10, ksp=4)",
@@ -25,6 +27,10 @@ METHOD_SPECS = {
         " shards=3)"
     ),
 }
+
+
+def test_specs_cover_every_method():
+    assert set(METHOD_SPECS) == set(registered_methods())
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +128,13 @@ class TestUniversalRoundtrip:
         bb = restored.search_many(queries, k=10)
         assert np.array_equal(ba.ids, bb.ids)
         assert np.array_equal(ba.scores, bb.scores)
+        # The load restores every stored array byte for byte.
+        state_a, state_b = original.state(), restored.state()
+        assert sorted(state_a) == sorted(state_b)
+        for key, value in state_a.items():
+            value, other = np.asarray(value), np.asarray(state_b[key])
+            assert (value.dtype, value.shape) == (other.dtype, other.shape), key
+            assert value.tobytes() == other.tobytes(), key
 
     def test_dynamic_state_stores_vectors_once(self, workload):
         data, _ = workload

@@ -15,7 +15,7 @@ class TestProductQuantizer:
     def fitted(self):
         gen = np.random.default_rng(0)
         train = gen.standard_normal((800, 16))
-        pq = ProductQuantizer(16, 4, 32).fit(train, np.random.default_rng(1))
+        pq = ProductQuantizer.train(train, 4, 32, np.random.default_rng(1))
         return train, pq
 
     def test_encode_shape_and_range(self, fitted):
@@ -45,26 +45,40 @@ class TestProductQuantizer:
 
     def test_centroid_cap_at_train_size(self):
         gen = np.random.default_rng(3)
-        pq = ProductQuantizer(8, 2, 256).fit(gen.standard_normal((10, 8)), gen)
+        pq = ProductQuantizer.train(gen.standard_normal((10, 8)), 2, 256, gen)
         assert all(cb.shape[0] <= 10 for cb in pq.codebooks)
 
     def test_subspace_cap_at_dim(self):
-        pq = ProductQuantizer(3, 16, 8)
+        gen = np.random.default_rng(8)
+        pq = ProductQuantizer.train(gen.standard_normal((20, 3)), 16, 8, gen)
         assert pq.n_subspaces == 3
-
-    def test_requires_fit(self):
-        pq = ProductQuantizer(8, 2, 4)
-        with pytest.raises(RuntimeError):
-            pq.encode(np.ones((2, 8)))
+        assert [cb.shape[1] for cb in pq.codebooks] == [1, 1, 1]
 
     def test_rejects_bad_args(self):
+        gen = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            ProductQuantizer(0, 2, 4)
+            ProductQuantizer.train(np.ones((5, 0)), 2, 4, gen)
         with pytest.raises(ValueError):
-            ProductQuantizer(8, 0, 4)
-        pq = ProductQuantizer(8, 2, 4)
+            ProductQuantizer.train(np.ones((5, 8)), 0, 4, gen)
         with pytest.raises(ValueError):
-            pq.fit(np.ones((5, 7)), np.random.default_rng(0))
+            ProductQuantizer.train(np.ones(8), 2, 4, gen)
+        with pytest.raises(ValueError):
+            ProductQuantizer([])
+        with pytest.raises(ValueError):
+            ProductQuantizer([np.ones(4)])
+
+    def test_constructed_from_its_codebooks(self, fitted):
+        """A quantizer built from another's codebooks encodes, decodes and
+        scores exactly like it (the load path of PQBasedMIPS)."""
+        train, pq = fitted
+        copy = ProductQuantizer([cb.copy() for cb in pq.codebooks])
+        assert copy.dim == pq.dim and copy.n_subspaces == pq.n_subspaces
+        codes = pq.encode(train[:40])
+        assert np.array_equal(copy.encode(train[:40]), codes)
+        assert np.array_equal(copy.decode(codes), pq.decode(codes))
+        q = np.random.default_rng(9).standard_normal(16)
+        for a, b in zip(copy.adc_tables(q), pq.adc_tables(q)):
+            assert np.array_equal(a, b)
 
     def test_size_bytes(self, fitted):
         _, pq = fitted
@@ -87,7 +101,7 @@ class TestOPQ:
 
         def quant_error(rotation):
             rotated = train @ rotation
-            pq = ProductQuantizer(12, 4, 16).fit(rotated, np.random.default_rng(6))
+            pq = ProductQuantizer.train(rotated, 4, 16, np.random.default_rng(6))
             recon = pq.decode(pq.encode(rotated))
             return float(((rotated - recon) ** 2).sum())
 

@@ -333,6 +333,43 @@ class TestPersistence:
             restored.delete(7)
 
 
+class TestMemberTableValidation:
+    """A load rejects member tables that cannot belong to their shards: a
+    table must ascend, stay below ``next_id``, hold one global id per
+    shard-local id, and share no id with another shard."""
+
+    @pytest.fixture(scope="class")
+    def built(self, workload):
+        data, _ = workload
+        sharded = ShardedIndex.build(data[:600], inner=PROMIPS_INNER, shards=2, rng=4)
+        return sharded, sharded.state()
+
+    @pytest.mark.parametrize("tamper", [
+        lambda members, other: members[::-1],
+        lambda members, other: members + 1000,
+        lambda members, other: members[:-1],
+        lambda members, other: other,
+    ], ids=["reversed", "shifted", "short", "overlapping"])
+    def test_mismatched_table_is_rejected(self, built, tamper):
+        sharded, state = built
+        tampered = dict(state)
+        tampered["members0"] = tamper(state["members0"], state["members1"])
+        with pytest.raises(ValueError, match="members0"):
+            ShardedIndex.from_state(sharded.spec(), tampered)
+
+    def test_dynamic_shard_tables_cover_inserted_ids(self, workload):
+        data, _ = workload
+        sharded = ShardedIndex.build(data[:200], inner=DYNAMIC_INNER, shards=2, rng=2)
+        gen = np.random.default_rng(1)
+        for vector in gen.standard_normal((5, data.shape[1])):
+            sharded.insert(vector)
+        state = sharded.state()
+        assert ShardedIndex.from_state(sharded.spec(), state).n_live == 205
+        state["members1"] = state["members1"][:-1]
+        with pytest.raises(ValueError, match="members1"):
+            ShardedIndex.from_state(sharded.spec(), state)
+
+
 class TestDynamicRouting:
     @pytest.fixture()
     def dynamic_sharded(self, workload):
