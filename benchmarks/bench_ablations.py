@@ -45,7 +45,7 @@ def bench_ablation_partition_pattern(benchmark):
             counter = AccessCounter()
             t0 = time.perf_counter()
             if name == "ring":
-                data_pages = ring.page_bitmap()
+                data_pages = ring.file.bitmap()
                 ring.range_search(q, radius, counter, data_pages)
                 read = int(np.count_nonzero(data_pages))
             else:

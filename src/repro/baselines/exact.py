@@ -52,7 +52,7 @@ class ExactMIPS:
         self._data = data
         self.n, self.dim = data.shape
         self.page_size = int(page_size)
-        self._store = VectorStore(data, page_size, label="exact")
+        self._store = VectorStore(data, page_size)
 
     # ------------------------------------------------------- registry contract
 

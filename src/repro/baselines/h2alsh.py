@@ -128,12 +128,9 @@ class H2ALSH:
             qalsh = QALSH(
                 transformed, rng, params=params, page_size=page_size, vectors=vectors
             )
-            store = VectorStore(
-                transformed, page_size, label=f"h2alsh-shell{len(self.shells)}"
-            )
             self.shells.append(
                 _Shell(max_norm=used_norm, global_ids=ids.astype(np.int64),
-                       qalsh=qalsh, store=store)
+                       qalsh=qalsh, store=VectorStore(transformed, page_size))
             )
             start = end
         if shell_vectors is not None and len(shell_vectors) != len(self.shells):

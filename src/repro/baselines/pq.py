@@ -274,7 +274,7 @@ class PQBasedMIPS:
             for cell in cells
         ]
         layout = np.concatenate([cell.member_ids for cell in cells])
-        self._store = VectorStore(data, self.page_size, layout_order=layout, label="pq-orig")
+        self._store = VectorStore(data, self.page_size, layout_order=layout)
         # ‖c_j‖² for the norm-expanded coarse scan of the batch path.
         self._center_norm_sq = np.einsum("ij,ij->i", coarse_centers, coarse_centers)
 

@@ -112,7 +112,7 @@ class RangeLSH:
 
         # Disk layout: sub-datasets sequential, in descending max-norm order
         # (= descending norm order overall, since subsets are rank ranges).
-        self._store = VectorStore(data, page_size, layout_order=desc, label="rangelsh")
+        self._store = VectorStore(data, page_size, layout_order=desc)
         self._code_pages = [
             -(-ids.size * _CODE_BYTES // page_size) for ids in self._subset_ids
         ]

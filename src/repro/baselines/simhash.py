@@ -166,7 +166,7 @@ class SimHashMIPS:
             self.dim + 1, n_bits, resolve_rng(rng), hyperplanes=hyperplanes
         )
         self._codes = self.simhash.encode(transformed)
-        self._store = VectorStore(data, page_size, label="simhash")
+        self._store = VectorStore(data, page_size)
         # Packed codes ship as one uint64 per point.
         self._code_pages = max(1, -(-self.n * 8 // int(page_size)))
 

@@ -39,7 +39,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -342,21 +344,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {exc}")
         return 2
     server = make_server(runtime, host=args.host, port=args.port)
-    host, port = server.server_address[:2]
-    health = runtime.health()
-    print(f"serving {health.get('spec', type(runtime.index).__name__)} "
-          f"({health['n_live']} points, d={health['dim']}) "
-          f"on http://{host}:{port}")
-    print("endpoints: POST /search /search_batch /insert /delete, "
-          "GET /stats /healthz  (Ctrl-C to stop)")
+    # SIGINT and SIGTERM end serve_forever, so the finally below always runs;
+    # shutdown() waits for the loop, hence the thread.  A job backgrounded by
+    # a shell without job control starts with SIGINT ignored.
+    def stop(signum, frame):
+        threading.Thread(target=server.shutdown, daemon=True).start()
+
+    previous = {sig: signal.signal(sig, stop) for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
+        host, port = server.server_address[:2]
+        health = runtime.health()
+        print(f"serving {health.get('spec', type(runtime.index).__name__)} "
+              f"({health['n_live']} points, d={health['dim']}) "
+              f"on http://{host}:{port}", flush=True)
+        print("endpoints: POST /search /search_batch /insert /delete, "
+              "GET /stats /healthz  (Ctrl-C or SIGTERM to stop)", flush=True)
         server.serve_forever()
-    except KeyboardInterrupt:
-        pass
     finally:
         server.shutdown()
         server.server_close()
         runtime.close()
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
     return 0
 
 

@@ -123,9 +123,7 @@ class ProMIPS:
         self.ring = ring
         self.groups = BinaryCodeGroups(projected, np.abs(data).sum(axis=1))
         self.quickprobe = QuickProbe(self.groups)
-        self.orig_store = VectorStore(
-            data, params.page_size, layout_order=ring.layout_order, label="promips-orig"
-        )
+        self.orig_store = VectorStore(data, params.page_size, layout_order=ring.layout_order)
         self.max_norm_sq = float(np.einsum("ij,ij->i", data, data).max())
         self._chi2 = self.quickprobe.chi2
         self._verifier = CandidateVerifier(self._chi2, self.max_norm_sq)
@@ -257,7 +255,7 @@ class ProMIPS:
         q_norm_sq = float(query @ query)
         tree_counter = AccessCounter()
         orig_reader = self.orig_store.reader()
-        proj_pages = self.ring.page_bitmap()
+        proj_pages = self.ring.file.bitmap()
 
         # Both files share the ring's layout, so the probe's slot in the
         # original file is its slot in the projected one.
@@ -404,7 +402,7 @@ class ProMIPS:
 
         tree_counter = AccessCounter()
         orig_reader = self.orig_store.reader()
-        proj_pages = self.ring.page_bitmap()
+        proj_pages = self.ring.file.bitmap()
 
         topk = TopK(k)
         verified = 0

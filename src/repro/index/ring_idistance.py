@@ -17,13 +17,13 @@ sub-partition is one row of the flat descriptor arrays (``sp_keys``,
 ``sp_pivots``, ``sp_radii``) and one slot run of ``layout_order``.
 
 The ring owns the projected points: they are stored once, as ``(m, n)``
-slot-ordered columns, and that is the index's projected page file.  Slot
-``s`` holds point ``layout_order[s]`` at bytes ``[s·stride, (s+1)·stride)``
-with a stride of ``m · BYTES_PER_COMPONENT``, so a sub-partition's slot run
-covers one contiguous page range.  Queries charge the pages they read to a
-per-query ``bool`` bitmap over that file (:meth:`RingIDistance.page_bitmap`):
-one closed-form page range per chosen slot run, plus the pages of the one
-slot :meth:`RingIDistance.read_slot` reads for ProMIPS' Quick-Probe radius.
+slot-ordered columns, and that is the index's projected page file,
+``ring.file``: a :class:`~repro.storage.pagefile.PageFile` of ``n`` slots of
+``m`` components.  Slot ``s`` holds point ``layout_order[s]``, so a
+sub-partition's slot run covers one contiguous page range.  Queries charge
+the pages they read to a per-query ``ring.file.bitmap()``: one closed-form
+page range per chosen slot run, plus the pages of the one slot
+:meth:`RingIDistance.read_slot` reads for ProMIPS' Quick-Probe radius.
 
 Keys ascend with the sub-partition index, so slot order is B+-tree traversal
 order.  The range search exploits that: at m ≈ 6 the sub-partition spheres
@@ -41,10 +41,11 @@ import numpy as np
 from repro.cluster.kmeans import kmeans
 from repro.index.bptree import BPlusTree
 from repro.storage.pagefile import (
-    BYTES_PER_COMPONENT,
     DEFAULT_PAGE_SIZE,
     AccessCounter,
+    PageFile,
     expand_runs,
+    invert_layout,
 )
 
 __all__ = ["RingIDistance", "column_distances"]
@@ -202,11 +203,8 @@ class RingIDistance:
         points, so an inconsistent envelope fails on load instead of on its
         first query.
         """
-        if page_size <= 0:
-            raise ValueError(f"page_size must be positive, got {page_size}")
         self.n, self.dim = points.shape
-        self.page_size = int(page_size)
-        self.stride_bytes = self.dim * BYTES_PER_COMPONENT
+        self.file = PageFile(self.n, self.dim, page_size)
         self.centers = np.asarray(state["centers"], dtype=np.float64)
         self.kp = self.centers.shape[0]
         self.epsilon = float(state["epsilon"][0])
@@ -219,11 +217,9 @@ class RingIDistance:
         self.sp_radii = np.asarray(state["sp_radii"], dtype=np.float64)
         self.sp_offsets = np.asarray(state["sp_offsets"], dtype=np.int64)
         self.layout_order = np.asarray(state["layout_order"], dtype=np.int64)
-        if self.layout_order.shape != (self.n,):
-            raise ValueError(
-                f"layout_order has shape {self.layout_order.shape}, but there "
-                f"are {self.n} points"
-            )
+        # A repeated id would sit in two slots, and a range search would
+        # report it twice.
+        invert_layout(self.layout_order, self.n)
         for key in ("centers", "sp_pivots"):
             width = getattr(self, key).shape[1]
             if width != self.dim:
@@ -310,41 +306,18 @@ class RingIDistance:
         descriptor_bytes = self.sp_pivots.nbytes + 24 * self.n_subpartitions
         meta = self.centers.nbytes + self.max_ring.nbytes
         return (
-            self.n * self.stride_bytes
-            + self._tree.size_bytes(self.page_size)
+            self.file.size_bytes
+            + self._tree.size_bytes(self.file.page_size)
             + descriptor_bytes
             + meta
         )
 
     # ------------------------------------------------------- page accounting
 
-    def page_bitmap(self) -> np.ndarray:
-        """A fresh per-query ``bool`` bitmap over the pages of the projected
-        file; the number of pages a query read is its ``count_nonzero``.
-
-        A page already charged during the query counts once (the OS buffer
-        keeps it), and queries are cold with respect to each other.
-        """
-        return np.zeros(-(-self.n * self.stride_bytes // self.page_size), dtype=bool)
-
-    def _charge_slot_runs(
-        self, pages: np.ndarray, starts: np.ndarray, stops: np.ndarray
-    ) -> None:
-        """Charge the pages of the slot runs ``[starts[i], stops[i])``.
-
-        Slots are packed back to back, so a non-empty run covers exactly
-        the pages from its first byte to its last: one page range per run,
-        whatever the run's length or the stride.
-        """
-        nonempty = stops > starts
-        firsts = starts[nonempty] * self.stride_bytes // self.page_size
-        ends = (stops[nonempty] * self.stride_bytes - 1) // self.page_size + 1
-        pages[expand_runs(firsts, ends)] = True
-
     def read_slot(self, slot: int, pages: np.ndarray) -> np.ndarray:
         """The coordinates stored at ``slot``, as a contiguous ``(m,)`` row;
         charges the slot's pages to ``pages``."""
-        self._charge_slot_runs(pages, np.array([slot]), np.array([slot + 1]))
+        pages[self.file.slot_pages(slot)] = True
         return self._columns[:, slot].copy()
 
     # ------------------------------------------------------------------ search
@@ -401,7 +374,7 @@ class RingIDistance:
         in ascending slot order.  Distances come from the ring's own
         slot-ordered columns: one :func:`column_distances` pass over the span
         from the first chosen slot to the last, masked down to the chosen
-        runs and the annulus.  ``pages`` (a :meth:`page_bitmap`), if given,
+        runs and the annulus.  ``pages`` (a ``ring.file.bitmap()``), if given,
         is charged the pages of the chosen runs in closed form, one page
         range per run.
         """
@@ -414,7 +387,7 @@ class RingIDistance:
         starts = self.sp_offsets[chosen]
         stops = self.sp_offsets[chosen + 1]
         if pages is not None:
-            self._charge_slot_runs(pages, starts, stops)
+            self.file.charge_runs(pages, starts, stops)
         if chosen.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         lo, hi = int(starts[0]), int(stops[-1])

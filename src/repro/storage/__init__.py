@@ -4,6 +4,7 @@ from repro.storage.pagefile import (
     BYTES_PER_COMPONENT,
     DEFAULT_PAGE_SIZE,
     AccessCounter,
+    PageFile,
     VectorReader,
     VectorStore,
 )
@@ -12,6 +13,7 @@ __all__ = [
     "AccessCounter",
     "BYTES_PER_COMPONENT",
     "DEFAULT_PAGE_SIZE",
+    "PageFile",
     "VectorReader",
     "VectorStore",
 ]

@@ -38,6 +38,26 @@ def exact_topk_reference(data: np.ndarray, query: np.ndarray, k: int):
     return order, ips[order]
 
 
+def slot_pages_reference(slots, stride_bytes: int, page_size: int) -> set[int]:
+    """Brute-force page set of ``slots`` in a file of back-to-back slots.
+
+    Slot ``s`` holds bytes ``[s·stride, (s+1)·stride)``; one byte per
+    page-sized step through that range, plus its last byte, lands on every
+    page the slot covers.  The page model under test charges the same pages
+    in closed form."""
+    pages: set[int] = set()
+    for slot in slots:
+        lo, hi = int(slot) * stride_bytes, (int(slot) + 1) * stride_bytes
+        for byte in (*range(lo, hi, page_size), hi - 1):
+            pages.add(byte // page_size)
+    return pages
+
+
+def page_set(bitmap: np.ndarray) -> set[int]:
+    """The pages a per-query bitmap has charged."""
+    return set(np.flatnonzero(bitmap).tolist())
+
+
 @pytest.fixture(scope="session")
 def exact_topk():
     """The brute-force oracle as a fixture, so test modules share one

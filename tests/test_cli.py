@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -241,6 +250,36 @@ class TestServe:
         rc = main(["serve", "--index", str(tmp_path / "missing.npz")])
         assert rc == 2
         assert "no such index" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("stop_signal", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_signal_stops_the_server_cleanly(self, stop_signal):
+        # SIGINT starts ignored, as in a job a non-interactive shell puts in
+        # the background; the server must still stop on it, and on SIGTERM,
+        # by returning through its cleanup with exit status 0.
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--spec", "exact()",
+             "--dataset", "netflix", "--n", "200", "--dim", "8", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            out = b""
+            deadline = time.monotonic() + 60
+            while b"serving" not in out:
+                left = deadline - time.monotonic()
+                ready = select.select([proc.stdout], [], [], max(left, 0))[0]
+                chunk = os.read(proc.stdout.fileno(), 4096) if ready else b""
+                assert chunk, f"no 'serving' line before exit or timeout: {out!r}"
+                out += chunk
+            proc.send_signal(stop_signal)
+            assert proc.wait(timeout=10) == 0, proc.stdout.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
     def test_bad_spec_errors_cleanly(self, capsys):
         rc = main([

@@ -47,7 +47,7 @@ class TestExactMIPS:
     def test_pages_equal_full_scan(self, built):
         data, index = built
         result = index.search(data[0], k=1)
-        assert result.stats.pages == index._store.total_pages
+        assert result.stats.pages == index._store.file.total_pages
         assert result.stats.candidates == len(data)
 
     def test_index_size_zero(self, built):

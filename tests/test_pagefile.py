@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,13 @@ from repro.index.ring_idistance import RingIDistance
 from repro.storage.pagefile import (
     BYTES_PER_COMPONENT,
     AccessCounter,
+    PageFile,
     VectorReader,
     VectorStore,
     expand_runs,
 )
+
+from conftest import page_set, slot_pages_reference
 
 
 def _store(n=100, dim=8, page_size=128, layout=None):
@@ -62,24 +67,40 @@ class TestPageGeometry:
     def test_points_per_page(self):
         # 8 dims × 4 bytes = 32 bytes/point → 4 points per 128-byte page.
         store = _store()
-        assert store.stride_bytes == 8 * BYTES_PER_COMPONENT
-        assert store.total_pages == 100 * 32 // 128
-        assert list(store.pages_of(0)) == [0]
-        assert list(store.pages_of(3)) == [0]
-        assert list(store.pages_of(4)) == [1]
+        assert store.file.stride_bytes == 8 * BYTES_PER_COMPONENT
+        assert store.file.total_pages == 100 * 32 // 128
+        for pid, page in ((0, 0), (3, 0), (4, 1)):
+            reader = store.reader()
+            reader.get(pid)
+            assert page_set(reader._touched) == {page}
 
     def test_wide_vector_spans_pages(self):
         # 64 dims × 4B = 256 bytes/point on 128-byte pages → 2 pages each,
         # the P53 regime that forces the paper to 64KB pages.
-        vectors = np.ones((10, 64))
-        store = VectorStore(vectors, page_size=128)
-        assert list(store.pages_of(0)) == [0, 1]
-        assert list(store.pages_of(1)) == [2, 3]
-        assert store.total_pages == 20
+        file = PageFile(10, 64, page_size=128)
+        for slot, pages in ((0, {0, 1}), (1, {2, 3})):
+            bitmap = file.bitmap()
+            file.charge(bitmap, np.array([slot]))
+            assert page_set(bitmap) == pages
+        assert file.total_pages == 20
 
     def test_size_bytes(self):
         store = _store()
-        assert store.size_bytes == 100 * 32
+        assert store.file.size_bytes == 100 * 32
+
+    def test_identity_layout_store_allocates_no_per_point_array(self):
+        # Only a non-identity layout needs an id→slot table; the slot of an
+        # identity-layout point is its id.
+        vectors = np.zeros((50_000, 4))
+        for layout in (None, np.arange(50_000)):
+            tracemalloc.start()
+            store = VectorStore(vectors, layout_order=layout)
+            retained, _ = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert retained < 50_000, retained
+            assert store.slot_of(123) == 123
+        shuffled = VectorStore(vectors, layout_order=np.arange(50_000)[::-1])
+        assert shuffled.slot_of(123) == 50_000 - 124
 
 
 class TestVectorReader:
@@ -121,7 +142,7 @@ class TestVectorReader:
         store = _store()
         reader = store.reader()
         reader.scan_all()
-        assert reader.pages_touched == store.total_pages
+        assert reader.pages_touched == store.file.total_pages
 
     def test_readers_are_independent(self):
         store = _store()
@@ -159,8 +180,9 @@ class TestVectorReader:
 
 
 def _brute_pages(store, point_ids):
-    """Distinct pages of a set of points, one ``pages_of`` range at a time."""
-    return {page for pid in point_ids for page in store.pages_of(int(pid))}
+    """Distinct pages of a set of points, slot byte range by byte range."""
+    slots = [store.slot_of(int(pid)) for pid in point_ids]
+    return slot_pages_reference(slots, store.file.stride_bytes, store.file.page_size)
 
 
 class TestPageBitmap:
@@ -184,38 +206,56 @@ class TestPageBitmap:
             reader.get(single)
             expected |= _brute_pages(store, ids.tolist() + [single])
             assert reader.pages_touched == len(expected)
-            assert set(np.flatnonzero(reader._touched).tolist()) == expected
+            assert page_set(reader._touched) == expected
 
     def test_wide_vectors_span_three_or_more_pages(self):
         store = VectorStore(np.zeros((10, 300)), page_size=256)  # 1200-byte stride
-        assert max(len(store.pages_of(i)) for i in range(10)) >= 5
+        assert max(len(_brute_pages(store, [i])) for i in range(10)) >= 5
         reader = store.reader()
         reader.get_many(np.array([3]))
-        assert reader.pages_touched == len(store.pages_of(3))
+        assert page_set(reader._touched) == _brute_pages(store, [3])
 
     @pytest.mark.parametrize(
         "dim, page_size",
         [(6, 4096), (5, 256), (6, 16), (300, 256), (64, 100)],  # straddling; 3+ pages wide
     )
     def test_slot_runs_charge_their_points_pages(self, dim, page_size):
-        # The ring's projected file charges slot runs in closed form; a
-        # store in the ring's layout charges the same points one by one.
+        # The ring's projected file charges slot runs in closed form; the
+        # reference walks every slot of every run byte range by byte range.
         gen = np.random.default_rng(dim + page_size)
         n = 3000
-        layout = gen.permutation(n)
-        ring = _one_run_ring(n, dim, layout, page_size)
-        store = VectorStore(np.zeros((n, dim)), page_size=page_size, layout_order=layout)
-        assert ring.page_bitmap().shape == (store.total_pages,)
+        ring = _one_run_ring(n, dim, gen.permutation(n), page_size)
+        stride = dim * BYTES_PER_COMPONENT
+        assert ring.file.bitmap().shape == (-(-n * stride // page_size),)
         for _ in range(5):
             # Sorted, disjoint runs including empty ones at unaligned slots.
             edges = np.sort(gen.choice(n + 1, size=2 * int(gen.integers(1, 40)),
                                        replace=False))
             starts, stops = edges[0::2], edges[1::2]
             stops[::3] = starts[::3]
-            runs, by_ids = ring.page_bitmap(), store.reader()
-            ring._charge_slot_runs(runs, starts, stops)
-            by_ids.charge(layout[expand_runs(starts, stops)])
-            assert np.array_equal(runs, by_ids._touched)
+            runs = ring.file.bitmap()
+            ring.file.charge_runs(runs, starts, stops)
+            slots = [s for a, b in zip(starts.tolist(), stops.tolist()) for s in range(a, b)]
+            assert page_set(runs) == slot_pages_reference(slots, stride, page_size)
+
+    @pytest.mark.parametrize(
+        "dim, page_size",
+        [(6, 4096), (5, 256), (6, 16), (300, 256), (64, 100)],  # straddling; 3+ pages wide
+    )
+    def test_charge_equals_charge_runs_of_single_slots(self, dim, page_size):
+        # The three charge forms mark the same pages: a batch of slots, the
+        # same slots as one-slot runs, and each slot's own page slice.
+        gen = np.random.default_rng(dim * page_size)
+        file = PageFile(3000, dim, page_size)
+        for _ in range(5):
+            slots = gen.integers(0, 3000, size=int(gen.integers(0, 400)))
+            by_slot, by_run, one_by_one = file.bitmap(), file.bitmap(), file.bitmap()
+            file.charge(by_slot, slots)
+            file.charge_runs(by_run, slots, slots + 1)
+            for slot in slots.tolist():
+                one_by_one[file.slot_pages(slot)] = True
+            assert np.array_equal(by_slot, by_run)
+            assert np.array_equal(by_slot, one_by_one)
 
     def test_charge_counts_pages_and_vectors_is_the_store(self):
         store = _store()  # 4 points/page

@@ -201,17 +201,20 @@ class TestDeterminism:
 class TestFromState:
     # Unchecked, a width mismatch fails on the first search with a numpy
     # broadcast error, a row-count mismatch in the ring's column gather with
-    # an opaque message, and malformed offsets describe runs that do not exist.
+    # an opaque message, malformed offsets describe runs that do not exist,
+    # and a layout that repeats an id has a range search report it twice.
     @pytest.mark.parametrize("key, tamper, names", [
         ("projection_matrix", lambda a: np.vstack([a, a[:1]]), "centers"),
         ("ring_sp_pivots", lambda a: np.hstack([a, a[:, :1]]), "sp_pivots"),
         ("ring_layout_order", lambda a: a[:-1], "layout_order"),
+        ("ring_layout_order", lambda a: np.r_[a[0], a[0], a[2:]], "layout_order"),
         ("data", lambda a: a[:-1], "layout_order"),
         ("ring_sp_offsets", lambda a: np.r_[1, a[1:]], "sp_offsets"),
         ("ring_sp_offsets", lambda a: np.r_[a[:-1], a[-1] - 1], "sp_offsets"),
         ("ring_sp_offsets", lambda a: a[[0, 2, 1, *range(3, a.size)]], "sp_offsets"),
         ("ring_sp_offsets", lambda a: np.delete(a, 1), "sp_offsets"),
-    ], ids=["projection_matrix", "ring_sp_pivots", "ring_layout_order", "data",
+    ], ids=["projection_matrix", "ring_sp_pivots", "ring_layout_order",
+            "ring_layout_repeats_an_id", "data",
             "offsets_from_1", "offsets_short_of_n", "decreasing_offsets",
             "offsets_missing_a_run"])
     def test_rejects_inconsistent_envelope(self, latent_small, key, tamper, names):

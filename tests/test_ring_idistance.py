@@ -12,6 +12,8 @@ from repro.index.ring_idistance import RingIDistance, column_distances
 from repro.spec import build_index
 from repro.storage.pagefile import AccessCounter, VectorStore
 
+from conftest import page_set, slot_pages_reference
+
 
 @pytest.fixture(scope="module")
 def points():
@@ -73,6 +75,15 @@ class TestBuild:
         with pytest.raises(ValueError, match="non-decreasing"):
             RingIDistance.from_state(points, state)
 
+    def test_from_state_rejects_a_layout_that_is_not_a_permutation(self, ring, points):
+        # A repeated id would sit in two slots and be reported twice.
+        for bad in (np.r_[ring.layout_order[:1], ring.layout_order[:-1]],
+                    np.r_[ring.layout_order[:-1], len(points)],
+                    np.r_[ring.layout_order[:-1], -1]):
+            state = {**ring.state(), "layout_order": bad}
+            with pytest.raises(ValueError, match="layout_order.*permutation"):
+                RingIDistance.from_state(points, state)
+
     def test_index_size_positive(self, ring, points):
         # The ring owns the projected file: n · m float32 components.
         assert ring.index_size_bytes() > points.size * 4
@@ -109,7 +120,7 @@ class TestRangeSearch:
 
     def test_counts_tree_and_data_pages(self, ring, points):
         ring = RingIDistance.from_state(points, ring.state(), page_size=256)
-        counter, pages = AccessCounter(), ring.page_bitmap()
+        counter, pages = AccessCounter(), ring.file.bitmap()
         assert pages.shape == (-(-len(points) * 5 * 4 // 256),) and not pages.any()
         ids, _ = ring.range_search(np.zeros(5), 2.0, tree_counter=counter, pages=pages)
         assert counter.pages > 0
@@ -155,30 +166,30 @@ class TestRunReads:
     @pytest.mark.parametrize("layout", ["ring", "identity", "shuffled"])
     @pytest.mark.parametrize("page_size", [4096, 256, 64, 16])
     def test_charges_the_pages_of_get_many(self, ring, points, page_size, layout):
-        # The reference is a store of the same points in the ring's layout,
-        # read member by member; at 16-byte pages a 20-byte slot straddles.
+        # The reference walks every slot of every chosen run byte range by
+        # byte range; at 16-byte pages a 20-byte slot straddles.
         ring, points = _relaid(ring, points, layout, page_size)
-        store = VectorStore(points, page_size=page_size, layout_order=ring.layout_order)
+        stride = ring.dim * 4
         gen = np.random.default_rng(page_size)
         for radius in (0.3, 1.0, 2.5):
             query = gen.standard_normal(5)
-            pages, by_ids = ring.page_bitmap(), store.reader()
+            pages = ring.file.bitmap()
+            assert pages.shape == (-(-len(points) * stride // page_size),)
             ring.range_search(query, radius, pages=pages)
             chosen = ring._candidate_subpartitions(query, radius, None)
-            member_ids = [ring.members(i) for i in chosen]
-            by_ids.get_many(np.concatenate(member_ids) if member_ids else np.array([], int))
-            assert np.array_equal(pages, by_ids._touched)
+            slots = [s for i in chosen.tolist()
+                     for s in range(ring.sp_offsets[i], ring.sp_offsets[i + 1])]
+            assert page_set(pages) == slot_pages_reference(slots, stride, page_size)
 
     @pytest.mark.parametrize("page_size", [4096, 64, 16, 8])
     def test_read_slot_returns_the_row_and_charges_its_pages(self, ring, points, page_size):
         ring = RingIDistance.from_state(points, ring.state(), page_size=page_size)
-        store = VectorStore(points, page_size=page_size, layout_order=ring.layout_order)
         for slot in (0, 1, 7, len(points) // 2, len(points) - 1):
-            pages, reader = ring.page_bitmap(), store.reader()
+            pages = ring.file.bitmap()
             row = ring.read_slot(slot, pages)
-            want = reader.get(ring.layout_order[slot])
+            want = points[ring.layout_order[slot]]
             assert row.flags.c_contiguous and row.tobytes() == want.tobytes()
-            assert np.array_equal(pages, reader._touched)
+            assert page_set(pages) == slot_pages_reference([slot], ring.dim * 4, page_size)
 
 
 def _relaid(ring, points, layout, page_size):
@@ -190,7 +201,7 @@ def _relaid(ring, points, layout, page_size):
     the members inside every sub-partition run.  Page charges must follow
     the ring's own layout whichever it is.
     """
-    if layout == "ring" and page_size == ring.page_size:
+    if layout == "ring" and page_size == ring.file.page_size:
         return ring, points
     order = ring.layout_order
     if layout == "identity":
@@ -375,7 +386,7 @@ class TestRangeSearchReference:
             for radius, min_radius in ((radii[0], -1.0), (radii[1], -1.0),
                                        (radii[2], radii[1]), (radii[3], radii[2]),
                                        (0.0, -1.0)):
-                counter, pages = AccessCounter(), ring.page_bitmap()
+                counter, pages = AccessCounter(), ring.file.bitmap()
                 ids, dists = ring.range_search(query, radius, counter, pages,
                                                min_radius=min_radius)
                 ref_reader = store.reader()
