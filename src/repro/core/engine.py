@@ -38,6 +38,7 @@ import math
 import numpy as np
 
 from repro.api import BatchResult, validate_k
+from repro.index.ring_idistance import DistanceOrder
 
 __all__ = [
     "GEMM_PANEL",
@@ -269,6 +270,10 @@ class CandidateVerifier:
     ``search_many``: offer candidates to the running top-k in ascending
     projected distance and stop at the first candidate after whose offer
     the O(1) form of Condition A or B holds against the *updated* k-th best.
+    Candidates arrive in the range search's slot order; the verifier orders
+    them by distance itself, ties in arrival order, and only as far as it
+    reads: a :class:`~repro.index.ring_idistance.DistanceOrder` prefix of
+    four blocks, doubled whenever the blocks run past it.
     Condition B is evaluated through ``dis²(P(oi), P(q)) ≥ Ψm⁻¹(p) · denom``
     — the CDF comparison inverted once through the cached chi-square
     quantile — so no per-candidate CDF evaluation is needed.
@@ -332,8 +337,10 @@ class CandidateVerifier:
         Returns ``(fired_condition, points_verified)`` where
         ``fired_condition`` is ``"condition_a"``, ``"condition_b"`` or None.
         Condition A reduces to ``ip_k ≥ c·(‖oM‖² + ‖q‖²)/2`` and Condition B
-        to ``dis² ≥ Ψm⁻¹(p)·(‖oM‖² + ‖q‖² − 2·ip_k/c)``.  ``dists`` must be
-        non-decreasing (as :meth:`RingIDistance.range_search` returns them).
+        to ``dis² ≥ Ψm⁻¹(p)·(‖oM‖² + ‖q‖² − 2·ip_k/c)``.  ``ids`` and
+        ``dists`` may come in any order (:meth:`RingIDistance.range_search`
+        returns slot order); they are verified in the stable ascending order
+        of ``dists``, which is built only as far as verification reads.
         """
         quantile = self._chi2.ppf(p)
         base = self._max_norm_sq + q_norm_sq
@@ -341,9 +348,11 @@ class CandidateVerifier:
         chunk = VERIFY_CHUNK
         block = chunk * BLOCK_CHUNKS
         vectors = orig_reader.vectors
+        order = DistanceOrder(dists)
         for start in range(0, ids.size, block):
-            block_ids = ids[start : start + block]
-            block_dists = dists[start : start + block]
+            head = order.head(start + block)[start:]
+            block_ids = ids[head]
+            block_dists = dists[head]
 
             def first_stop(kth, lo, hi, dist_sq=block_dists * block_dists):
                 # Condition A holds at lo or nowhere; Condition B first
@@ -351,7 +360,7 @@ class CandidateVerifier:
                 if kth >= cond_a_threshold:
                     return lo
                 threshold = quantile * (base - 2.0 * kth / c)
-                return lo + int(np.searchsorted(dist_sq[lo:hi], threshold))
+                return lo + int(dist_sq[lo:hi].searchsorted(threshold))
 
             ips = self._block_ips(vectors, block_ids, query)
             pos = topk.offer_block(block_ids, ips, first_stop)

@@ -8,9 +8,10 @@ The public entry point is :class:`ProMIPS`:
 
 ``search_many`` implements MIP-Search-II (Algorithm 3) for a query batch:
 Quick-Probe determines each query's range-search radius, one range search
-over the ring-pattern iDistance collects candidates, Condition A can
-terminate verification early, and a compensation pass extends the radius to
-``r'`` when Condition B is not yet met.  The batch-wide work — one GEMM
+over the ring-pattern iDistance collects candidates in slot order, the
+verifier checks them in ascending projected distance until Condition A or B
+fires, ordering only the prefix it reads, and a compensation pass extends
+the radius to ``r'`` when neither has.  The batch-wide work — one GEMM
 projecting every query, one vectorized Quick-Probe group scan — is
 row-independent, and the adaptive range-search/verification core runs per
 query, so ``search`` is simply the one-row batch.

@@ -31,7 +31,10 @@ are too loose to prune (a first range search keeps a median 97–99.8% of the
 points on the yahoo, netflix and sift-like corpora), so instead of gathering
 the chosen rows it computes the projected distance of every slot in the
 chosen span over the columns (:func:`column_distances`) and masks the slots
-of unchosen sub-partitions out.
+of unchosen sub-partitions out.  It reports the slots it keeps in slot
+order, unsorted: MIP-Search-II stops after a fraction of them, so the
+consumer orders only what it reads, a growing prefix at a time
+(:class:`DistanceOrder`).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from repro.storage.pagefile import (
     invert_layout,
 )
 
-__all__ = ["RingIDistance", "column_distances"]
+__all__ = ["DistanceOrder", "RingIDistance", "column_distances", "column_tile"]
 
 # numpy's pairwise summation sums runs of up to this many elements with eight
 # accumulators and splits longer runs in two (``PW_BLOCKSIZE``).
@@ -78,6 +81,17 @@ def _sum_rows(sq: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return _sum_rows(sq, lo, lo + half) + _sum_rows(sq, lo + half, hi)
 
 
+# column_distances works on slot tiles whose (m, tile) float64 temporary
+# takes about this many bytes, so it stays in a core's L2 cache: 8192 slots
+# at m = 6, the width measured fastest there.
+_TILE_BYTES = 6 * 8192 * 8
+
+
+def column_tile(m: int) -> int:
+    """Slots per :func:`column_distances` tile for ``m`` coordinates."""
+    return max(_TILE_BYTES // (8 * m), 1)
+
+
 def column_distances(columns: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Euclidean distance of every column of ``columns`` (``(m, n)``) to
     ``query`` (``(m,)``).
@@ -86,13 +100,73 @@ def column_distances(columns: np.ndarray, query: np.ndarray) -> np.ndarray:
     squared coordinates are summed column by column in the order numpy's
     pairwise summation uses for a contiguous row (left to right below 8
     terms, eight interleaved accumulators up to 128, halves beyond), but
-    each step is one vectorized operation over all ``n`` points instead of
-    a reduction over a 6-wide axis.
+    each step is one vectorized operation over a tile of
+    :func:`column_tile` points instead of a reduction over a 6-wide axis.
     """
-    sq = columns - query[:, None]
-    sq *= sq
-    dists = _sum_rows(sq, 0, sq.shape[0])
-    return np.sqrt(dists, out=dists)
+    m, n = columns.shape
+    out = np.empty(n)
+    tile = column_tile(m)
+    sq = np.empty((m, min(tile, n)))
+    for lo in range(0, n, tile):
+        hi = min(lo + tile, n)
+        part = sq[:, : hi - lo]
+        np.subtract(columns[:, lo:hi], query[:, None], out=part)
+        part *= part
+        np.sqrt(_sum_rows(part, 0, m), out=out[lo:hi])
+    return out
+
+
+class DistanceOrder:
+    """The stable ascending order of ``dists``, built a prefix at a time.
+
+    :meth:`head` ``(n)`` equals ``np.argsort(dists, kind="stable")[:n]``, but
+    only as much of the order is built as has been asked for.  Each
+    extension finds the value at its cut with ``np.partition``, selects the
+    positions with ``prev_cut < d <= cut`` in position order, and sorts them
+    by distance.  Cutting by value keeps every element tied at the cut, so
+    which of them a partition happens to put first cannot matter, and the
+    sort falls back to a stable one only when two selected distances are
+    equal.  The first prefix holds :attr:`FIRST` positions and each extension
+    at least doubles the ordered count.
+    """
+
+    # Four of CandidateVerifier's 2048-candidate blocks.
+    FIRST = 8192
+
+    __slots__ = ("_dists", "_order", "_filled", "_cut")
+
+    def __init__(self, dists: np.ndarray) -> None:
+        self._dists = dists
+        self._order = np.empty(dists.size, dtype=np.int64)
+        self._filled = 0
+        self._cut = -np.inf
+
+    def head(self, n: int) -> np.ndarray:
+        """Positions of the ``n`` smallest distances in stable order (fewer if
+        ``dists`` holds fewer), a view of the ordered buffer."""
+        while self._filled < min(n, self._dists.size):
+            self._extend(max(n, self.FIRST, 2 * self._filled))
+        return self._order[:n]
+
+    def _extend(self, target: int) -> None:
+        dists = self._dists
+        if target >= dists.size:
+            cut = np.inf
+            keep = dists > self._cut
+        else:
+            cut = np.partition(dists, target - 1)[target - 1]
+            keep = dists <= cut
+            if self._filled:
+                keep &= dists > self._cut
+        picked = np.flatnonzero(keep)
+        values = dists[picked]
+        order = np.argsort(values)
+        ranked = values[order]
+        if (ranked[1:] == ranked[:-1]).any():
+            order = np.argsort(values, kind="stable")
+        self._order[self._filled : self._filled + picked.size] = picked[order]
+        self._filled += picked.size
+        self._cut = cut
 
 
 class RingIDistance:
@@ -367,8 +441,10 @@ class RingIDistance:
 
         ``min_radius > 0`` turns the search into an annulus scan, used by the
         compensation pass of MIP-Search-II so already-verified points are not
-        reported twice.  Results are sorted by ascending distance (ties in
-        candidate order), matching the order Algorithm 3 consumes them in.
+        reported twice.  Results come in ascending slot order (candidate
+        order), not sorted by distance: Algorithm 3 consumes them in
+        ascending distance but stops early, so its verifier orders only the
+        prefix it reads (:class:`DistanceOrder`, ties in slot order).
 
         The chosen sub-partitions are slot runs of the §VI sequential layout,
         in ascending slot order.  Distances come from the ring's own
@@ -400,16 +476,7 @@ class RingIDistance:
         keep &= dists <= radius
         keep &= dists > min_radius
         slots = np.flatnonzero(keep)
-        ids = self.layout_order[lo + slots]
-        dists = dists[slots]
-        # Equal distances are the only case where an unstable sort can
-        # reorder; fall back to the stable sort just for them.
-        order = np.argsort(dists)
-        ranked = dists[order]
-        if (ranked[1:] == ranked[:-1]).any():
-            order = np.argsort(dists, kind="stable")
-            ranked = dists[order]
-        return ids[order], ranked
+        return self.layout_order[lo + slots], dists[slots]
 
     def knn_iterate(
         self,
@@ -433,7 +500,8 @@ class RingIDistance:
             ids, dists = self.range_search(
                 query, radius, tree_counter, pages, min_radius=prev_radius
             )
-            for pid, dist in zip(ids.tolist(), dists.tolist()):
+            order = DistanceOrder(dists).head(dists.size)
+            for pid, dist in zip(ids[order].tolist(), dists[order].tolist()):
                 yield pid, dist
                 emitted += 1
             prev_radius = radius

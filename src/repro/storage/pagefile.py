@@ -100,8 +100,11 @@ class PageFile:
         bitmap ``pages``, and the interior pages of a slot wider than a page."""
         offsets = np.asarray(slots, dtype=np.int64) * self.stride_bytes
         firsts = offsets // self.page_size
-        lasts = (offsets + (self.stride_bytes - 1)) // self.page_size
         pages[firsts] = True
+        if self.stride_bytes and self.page_size % self.stride_bytes == 0:
+            # Page edges fall on slot edges: every slot's last page is its first.
+            return
+        lasts = (offsets + (self.stride_bytes - 1)) // self.page_size
         pages[lasts] = True
         if self.stride_bytes > self.page_size:
             wide = lasts - firsts > 1

@@ -188,9 +188,12 @@ def _brute_pages(store, point_ids):
 class TestPageBitmap:
     """The bitmap reader against a brute-force distinct-page set."""
 
+    # (6, 4096) and (5, 256) straddle page edges; (64, 4096) and (16, 64)
+    # divide the page (256-byte slots on 4 KB pages, as offline-batch's
+    # 64-d vectors); (300, 256) and (64, 100) are 3+ and 2+ pages wide.
     @pytest.mark.parametrize(
         "dim, page_size",
-        [(6, 4096), (5, 256), (300, 256), (64, 100)],  # straddling; 3+ pages wide
+        [(6, 4096), (5, 256), (64, 4096), (16, 64), (300, 256), (64, 100)],
     )
     def test_counts_match_brute_force(self, dim, page_size):
         gen = np.random.default_rng(dim)
@@ -240,7 +243,8 @@ class TestPageBitmap:
 
     @pytest.mark.parametrize(
         "dim, page_size",
-        [(6, 4096), (5, 256), (6, 16), (300, 256), (64, 100)],  # straddling; 3+ pages wide
+        # straddling; dividing the page; 3+ pages wide
+        [(6, 4096), (5, 256), (6, 16), (64, 4096), (16, 64), (300, 256), (64, 100)],
     )
     def test_charge_equals_charge_runs_of_single_slots(self, dim, page_size):
         # The three charge forms mark the same pages: a batch of slots, the
@@ -256,6 +260,19 @@ class TestPageBitmap:
                 one_by_one[file.slot_pages(slot)] = True
             assert np.array_equal(by_slot, by_run)
             assert np.array_equal(by_slot, one_by_one)
+
+    @pytest.mark.parametrize("dim, page_size", [(64, 4096), (16, 64), (1, 8), (6, 4096)])
+    def test_charge_matches_brute_force_whether_or_not_slots_straddle(self, dim, page_size):
+        # charge skips the last-page pass when the stride divides the page;
+        # both branches against the byte-range reference.
+        file = PageFile(5000, dim, page_size)
+        stride = dim * BYTES_PER_COMPONENT
+        gen = np.random.default_rng(dim + page_size)
+        for size in (0, 1, 37, 2048):
+            slots = gen.integers(0, 5000, size=size)
+            pages = file.bitmap()
+            file.charge(pages, slots)
+            assert page_set(pages) == slot_pages_reference(slots.tolist(), stride, page_size)
 
     def test_charge_counts_pages_and_vectors_is_the_store(self):
         store = _store()  # 4 points/page

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import engine
+from repro.core.engine import TopK
 from repro.core.promips import ProMIPS, ProMIPSParams
-from repro.index.ring_idistance import RingIDistance, column_distances
+from repro.index.ring_idistance import (
+    DistanceOrder,
+    RingIDistance,
+    column_distances,
+    column_tile,
+)
 from repro.spec import build_index
 from repro.storage.pagefile import AccessCounter, VectorStore
 
@@ -99,11 +106,18 @@ class TestRangeSearch:
         brute = np.linalg.norm(points - query, axis=1)
         expected = set(np.flatnonzero(brute <= radius).tolist())
         assert set(ids.tolist()) == expected
+        assert np.all(np.diff(_slots_of(ring, ids)) > 0)
 
-    def test_results_sorted_by_distance(self, ring):
+    def test_results_in_ascending_slot_order(self, ring):
+        # Candidate order, unsorted: the verifier orders what it reads.
         query = np.random.default_rng(5).standard_normal(5)
-        _, dists = ring.range_search(query, 3.0)
-        assert np.all(np.diff(dists) >= 0)
+        brute = column_distances(ring._columns, query)
+        for radius, min_radius in ((3.0, -1.0), (3.0, 1.5), (2.0, -1.0)):
+            ids, dists = ring.range_search(query, radius, min_radius=min_radius)
+            slots = np.flatnonzero((brute <= radius) & (brute > min_radius))
+            assert np.array_equal(ids, ring.layout_order[slots])
+            assert dists.tobytes() == brute[slots].tobytes()
+            assert (np.diff(dists) < 0).any()  # the distances are not sorted
 
     def test_annulus_excludes_inner_ball(self, ring, points):
         query = np.random.default_rng(6).standard_normal(5)
@@ -223,11 +237,19 @@ def _unbounded(ring, points):
     return RingIDistance.from_state(points, state)
 
 
+def _slots_of(ring, ids):
+    """The slots holding ``ids`` in ``ring``'s layout."""
+    slot_of = np.empty(ring.n, dtype=np.int64)
+    slot_of[ring.layout_order] = np.arange(ring.n)
+    return slot_of[ids]
+
+
 def _reference_range_search(ring, points, query, radius, min_radius,
                             reader=None, unbounded=None):
     """Tree walk, ``np.linalg.norm`` sphere test (with the ring's relative
-    slack of m + 8 ulps), member-by-member read, ``np.linalg.norm``
-    distances and a stable sort.
+    slack of m + 8 ulps), member-by-member read and ``np.linalg.norm``
+    distances, in slot order: the chosen sub-partitions ascend, and so do
+    their slot runs.
 
     Returns ids, distances and the B+-tree pages of the walk; ``reader``, if
     given, is charged through ``get_many`` one sub-partition at a time.
@@ -246,8 +268,7 @@ def _reference_range_search(ring, points, query, radius, min_radius,
     vecs = np.concatenate(rows) if rows else np.empty((0, ring.dim))
     dists = np.linalg.norm(vecs - query[None, :], axis=1)
     mask = (dists <= radius) & (dists > min_radius)
-    order = np.argsort(dists[mask], kind="stable")
-    return ids[mask][order], dists[mask][order], counter.pages
+    return ids[mask], dists[mask], counter.pages
 
 
 class TestColumnDistances:
@@ -278,6 +299,89 @@ class TestColumnDistances:
         got = column_distances(columns[:, 123:877], query)
         want = np.linalg.norm(columns.T[123:877] - query[None, :], axis=1)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 6, 9, 129, 300])
+    def test_spans_around_the_tile_width(self, m):
+        # The kernel works tile by tile; a span one short of, equal to, one
+        # past and two tiles past a tile edge must give the same bytes.
+        tile = column_tile(m)
+        assert tile >= 1 and 8 * m * tile <= 6 * 8192 * 8
+        gen = np.random.default_rng(m)
+        n = 2 * tile + 5
+        columns = gen.standard_normal((m, n + 3)) * np.logspace(-2, 2, n + 3)
+        query = gen.standard_normal(m)
+        for width in (tile - 1, tile, tile + 1, n):
+            for lo in (0, 3):
+                span = columns[:, lo : lo + width]
+                got = column_distances(span, query)
+                # Row-major points, as the ring's points are: numpy sums a
+                # contiguous row pairwise, a strided one left to right.
+                rows = np.ascontiguousarray(span.T)
+                want = np.linalg.norm(rows - query[None, :], axis=1)
+                assert got.tobytes() == want.tobytes(), (m, width, lo)
+
+
+class _SmallOrder(DistanceOrder):
+    """The prefix order with a first prefix of 3, so a few hundred distances
+    run through several extensions."""
+
+    FIRST = 3
+
+
+class TestDistanceOrder:
+    """``head(n)`` against the eager stable argsort, across extensions, with
+    values tied at every cut."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 400),
+        levels=st.sampled_from([1, 2, 5, 40, 10**9]),
+        step=st.integers(1, 70),
+    )
+    def test_head_is_the_stable_argsort_prefix(self, seed, size, levels, step):
+        # Quantized distances: few levels put ties across every cut.
+        gen = np.random.default_rng(seed)
+        dists = gen.integers(0, levels, size=size) * 0.25
+        want = np.argsort(dists, kind="stable")
+        order = _SmallOrder(dists)
+        for n in [*range(0, size + step, step), size + 1]:
+            assert np.array_equal(order.head(n), want[:n])
+        # Asking again, or for less, reads the ordered buffer.
+        assert np.array_equal(order.head(size // 2), want[: size // 2])
+
+    def test_full_size_prefixes_with_ties_straddling_every_cut(self):
+        # 40k distances on 300 levels, ~133 copies each: every extension's
+        # target position falls inside a run of ties, which the cut by value
+        # takes whole.
+        gen = np.random.default_rng(3)
+        dists = np.sqrt(gen.integers(0, 300, size=40_000).astype(np.float64))
+        want = np.argsort(dists, kind="stable")
+        ranked = dists[want]
+        first = DistanceOrder.FIRST
+        order = DistanceOrder(dists)
+        extensions = 0
+        for n in (1, 2047, 2048, 4096, first - 1, first, first + 1, 2 * first + 5,
+                  3 * first, 4 * first + 1, dists.size, dists.size + 7):
+            filled = order._filled
+            assert np.array_equal(order.head(n), want[:n]), n
+            if order._filled > filled and order._filled < dists.size:
+                target = max(n, first, 2 * filled)
+                assert ranked[target - 1] == ranked[target]
+                assert order._filled > target
+                extensions += 1
+        assert extensions >= 2
+
+    def test_orders_only_what_was_asked(self):
+        dists = np.random.default_rng(4).random(5 * DistanceOrder.FIRST)
+        order = DistanceOrder(dists)
+        order.head(10)
+        assert order._filled == DistanceOrder.FIRST
+        order.head(DistanceOrder.FIRST + 1)
+        assert order._filled == 2 * DistanceOrder.FIRST
+
+    def test_empty(self):
+        assert DistanceOrder(np.empty(0)).head(5).size == 0
 
 
 class TestBoundaryPoints:
@@ -423,6 +527,8 @@ class TestDuplicateRows:
         return base[gen.permutation(np.repeat(np.arange(300), 4))]
 
     def test_range_search_keeps_stable_order(self, dup_points):
+        # The range search reports slot order; its prefix order is the
+        # stable sort of that, so tied points keep their slot order.
         ring = RingIDistance(dup_points, kp=3, n_key=8, ksp=4,
                              rng=np.random.default_rng(32))
         gen = np.random.default_rng(33)
@@ -435,8 +541,45 @@ class TestDuplicateRows:
             )
             assert np.array_equal(ids, ref_ids)
             assert np.array_equal(dists, ref_dists)
-            saw_ties |= bool((dists[1:] == dists[:-1]).any())
+            stable = np.argsort(ref_dists, kind="stable")
+            assert np.array_equal(_SmallOrder(dists).head(dists.size), stable)
+            ranked = dists[stable]
+            saw_ties |= bool((ranked[1:] == ranked[:-1]).any())
         assert saw_ties
+
+    @pytest.mark.parametrize("blocks", ["default", "small"])
+    def test_verify_on_slot_order_equals_verify_on_sorted_input(
+        self, dup_points, blocks, monkeypatch
+    ):
+        """``verify`` orders its slot-order input itself: same outcome, top-k
+        and charged pages as on the eagerly stable-sorted candidates.  Small
+        blocks (64 candidates) and a first prefix of 3 make it extend its
+        prefix many times per call."""
+        if blocks == "small":
+            monkeypatch.setattr(engine, "BLOCK_CHUNKS", 2)
+            monkeypatch.setattr(DistanceOrder, "FIRST", 3)
+        index = ProMIPS.build(dup_points, ProMIPSParams(page_size=256), rng=35)
+        gen = np.random.default_rng(36)
+        outcomes = set()
+        for row in gen.integers(0, len(dup_points), size=8).tolist():
+            query = dup_points[row]
+            q_proj = index.projection.project(query[None, :])[0]
+            q_norm_sq = float(query @ query)
+            for radius, p in ((1.0, 0.5), (3.0, 0.9), (50.0, 0.99)):
+                ids, dists = index.ring.range_search(q_proj, radius)
+                stable = np.argsort(dists, kind="stable")
+                runs = []
+                for cand_ids, cand_dists in ((ids, dists), (ids[stable], dists[stable])):
+                    topk, reader = TopK(7), index.orig_store.reader()
+                    got = index._verifier.verify(topk, cand_ids, cand_dists, query,
+                                                 reader, 0.9, p, q_norm_sq)
+                    runs.append((got, *topk.result(), reader._touched))
+                (got, *rest), (want, *ref) = runs
+                assert got == want
+                for a, b in zip(rest, ref):
+                    assert np.array_equal(a, b)
+                outcomes.add(got[0])
+        assert {"condition_b", None} <= outcomes
 
     def test_search_many_bit_identical_to_search(self, dup_points):
         gen = np.random.default_rng(34)
@@ -455,7 +598,21 @@ class TestKnnIterate:
     def test_yields_in_nondecreasing_distance_order(self, ring):
         query = np.random.default_rng(8).standard_normal(5)
         dists = [d for _, d in zip_take(ring.knn_iterate(query), 200)]
-        assert all(a <= b + 1e-12 for a, b in zip(dists, dists[1:]))
+        assert all(a <= b for a, b in zip(dists, dists[1:]))
+
+    def test_yields_the_stable_distance_order_of_the_slots(self):
+        # Over duplicate rows every distance is tied four times; the whole
+        # walk is the slots sorted by (distance, slot).
+        gen = np.random.default_rng(12)
+        base = gen.standard_normal((150, 3))
+        points = base[gen.permutation(np.repeat(np.arange(150), 4))]
+        small = RingIDistance(points, kp=3, n_key=6, ksp=3, rng=np.random.default_rng(13))
+        query = points[17] + 0.01
+        walk = list(small.knn_iterate(query))
+        brute = column_distances(small._columns, query)
+        slots = np.argsort(brute, kind="stable")
+        assert [pid for pid, _ in walk] == small.layout_order[slots].tolist()
+        assert [dist for _, dist in walk] == brute[slots].tolist()
 
     def test_first_yield_is_nearest(self, ring, points):
         query = np.random.default_rng(9).standard_normal(5)
