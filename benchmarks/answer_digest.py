@@ -31,7 +31,6 @@ delta buffers is not stored.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import sys
 import tempfile
@@ -62,6 +61,10 @@ MUTABLE = {
 
 K = 10
 LOOPED = 4  # rows of the batch also answered by looped search
+N = 20_000
+DIM = 32
+QUERIES = 64
+SEED = 1
 
 
 def _corpora(n: int, dim: int, n_queries: int, seed: int):
@@ -160,14 +163,8 @@ def run(n: int, dim: int, n_queries: int, seed: int) -> tuple[list[str], list[st
     return lines, problems
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=20_000)
-    parser.add_argument("--dim", type=int, default=32)
-    parser.add_argument("--queries", type=int, default=64)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-    lines, problems = run(args.n, args.dim, args.queries, args.seed)
+def main() -> int:
+    lines, problems = run(N, DIM, QUERIES, SEED)
     for line in lines:
         print(line)
     for problem in problems:

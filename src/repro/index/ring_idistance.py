@@ -51,7 +51,7 @@ from repro.storage.pagefile import (
     invert_layout,
 )
 
-__all__ = ["DistanceOrder", "RingIDistance", "column_distances", "column_tile"]
+__all__ = ["DistanceOrder", "RingIDistance", "column_distances"]
 
 # numpy's pairwise summation sums runs of up to this many elements with eight
 # accumulators and splits longer runs in two (``PW_BLOCKSIZE``).
@@ -87,7 +87,7 @@ def _sum_rows(sq: np.ndarray, lo: int, hi: int) -> np.ndarray:
 _TILE_BYTES = 6 * 8192 * 8
 
 
-def column_tile(m: int) -> int:
+def _column_tile(m: int) -> int:
     """Slots per :func:`column_distances` tile for ``m`` coordinates."""
     return max(_TILE_BYTES // (8 * m), 1)
 
@@ -101,11 +101,11 @@ def column_distances(columns: np.ndarray, query: np.ndarray) -> np.ndarray:
     pairwise summation uses for a contiguous row (left to right below 8
     terms, eight interleaved accumulators up to 128, halves beyond), but
     each step is one vectorized operation over a tile of
-    :func:`column_tile` points instead of a reduction over a 6-wide axis.
+    :func:`_column_tile` points instead of a reduction over a 6-wide axis.
     """
     m, n = columns.shape
     out = np.empty(n)
-    tile = column_tile(m)
+    tile = _column_tile(m)
     sq = np.empty((m, min(tile, n)))
     for lo in range(0, n, tile):
         hi = min(lo + tile, n)

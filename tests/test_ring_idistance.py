@@ -13,8 +13,8 @@ from repro.core.promips import ProMIPS, ProMIPSParams
 from repro.index.ring_idistance import (
     DistanceOrder,
     RingIDistance,
+    _column_tile,
     column_distances,
-    column_tile,
 )
 from repro.spec import build_index
 from repro.storage.pagefile import AccessCounter, VectorStore
@@ -304,7 +304,7 @@ class TestColumnDistances:
     def test_spans_around_the_tile_width(self, m):
         # The kernel works tile by tile; a span one short of, equal to, one
         # past and two tiles past a tile edge must give the same bytes.
-        tile = column_tile(m)
+        tile = _column_tile(m)
         assert tile >= 1 and 8 * m * tile <= 6 * 8192 * 8
         gen = np.random.default_rng(m)
         n = 2 * tile + 5
