@@ -66,7 +66,7 @@ from repro.spec import (
     registered_methods,
 )
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "MIPSIndex",

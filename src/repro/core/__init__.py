@@ -15,12 +15,7 @@ from repro.core.binary_codes import (
     pack_code,
     sign_bits,
 )
-from repro.core.conditions import (
-    compensation_radius,
-    condition_a_holds,
-    condition_b_holds,
-    guarantee_denominator,
-)
+from repro.core.conditions import StoppingRule
 from repro.core.dynamic import DynamicProMIPS
 from repro.core.maintenance import (
     MaintenanceEngine,
@@ -53,10 +48,7 @@ __all__ = [
     "group_lower_bounds",
     "pack_code",
     "sign_bits",
-    "compensation_radius",
-    "condition_a_holds",
-    "condition_b_holds",
-    "guarantee_denominator",
+    "StoppingRule",
     "optimized_projection_dim",
     "quickprobe_cost",
     "StableProjection",

@@ -1,5 +1,6 @@
-"""The probability-guaranteed searching conditions (§IV) and the
-compensation radius of MIP-Search-II (§V-A).
+"""The stopping rule of ProMIPS: the probability-guaranteed searching
+conditions (§IV) and the compensation radius of MIP-Search-II (§V-A), for
+one query.
 
 Condition A (Formula 1, deterministic — Theorem 1):
 
@@ -20,6 +21,13 @@ point has been collected is at most ``1 − p``.
 
 For c-k-AMIP search both conditions substitute the current k-th best
 candidate ``ok_max`` for ``omax`` (end of §IV).
+
+:class:`StoppingRule` is the one implementation of both conditions and of
+``r'``.  ``Ψm`` is monotone, so Formula 2 is decided without a CDF: it holds
+iff ``dis² ≥ Ψm⁻¹(p) · (‖oM‖² + ‖q‖² − 2⟨ok_max, q⟩/c)``, and ``r'`` is the
+square root of that threshold.  Every stop — in the verifier of
+MIP-Search-II, after each of its range searches, and in MIP-Search-I — is
+that comparison, in the same arithmetic.
 """
 
 from __future__ import annotations
@@ -28,68 +36,63 @@ import math
 
 from repro.stats.chi2 import ChiSquare
 
-__all__ = [
-    "condition_a_holds",
-    "guarantee_denominator",
-    "condition_b_holds",
-    "compensation_radius",
-]
+__all__ = ["StoppingRule"]
 
 
-def condition_a_holds(max_norm_sq: float, q_norm_sq: float, ip: float, c: float) -> bool:
-    """Formula 1 with candidate inner product ``ip`` (``⟨oi, q⟩``)."""
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"approximation ratio must satisfy 0 < c < 1, got {c}")
-    if math.isinf(ip) and ip < 0:
-        return False  # no candidate yet
-    return max_norm_sq + q_norm_sq - 2.0 * ip / c <= 0.0
+class StoppingRule:
+    """Conditions A and B and the compensation radius for one query.
 
+    Args:
+        chi2: the index's ``ChiSquare(m)``.
+        max_norm_sq: ``‖oM‖²`` over the dataset.
+        q_norm_sq: ``‖q‖²`` of the query.
+        c: approximation ratio, ``0 < c < 1``.
+        p: guaranteed probability, ``0 < p < 1``.
 
-def guarantee_denominator(
-    max_norm_sq: float, q_norm_sq: float, ip_max: float, c: float
-) -> float:
-    """``‖oM‖² + ‖q‖² − 2⟨omax, q⟩/c`` — the scale Condition B divides by.
-
-    ``ip_max = −inf`` (no candidate yet) yields ``+inf``: Condition B can
-    never fire before the first candidate is collected.
+    Attributes:
+        a_threshold: ``c·(‖oM‖² + ‖q‖²)/2``; Condition A holds once the k-th
+            best inner product reaches it.
     """
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"approximation ratio must satisfy 0 < c < 1, got {c}")
-    if math.isinf(ip_max) and ip_max < 0:
-        return math.inf
-    return max_norm_sq + q_norm_sq - 2.0 * ip_max / c
 
+    __slots__ = ("c", "quantile", "base", "a_threshold")
 
-def condition_b_holds(
-    proj_dist_sq: float, denominator: float, chi2: ChiSquare, p: float
-) -> bool:
-    """Formula 2, given a pre-computed denominator.
+    def __init__(
+        self, chi2: ChiSquare, max_norm_sq: float, q_norm_sq: float, c: float, p: float
+    ) -> None:
+        if not 0.0 < c < 1.0:
+            raise ValueError(f"approximation ratio must satisfy 0 < c < 1, got {c}")
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"guaranteed probability must satisfy 0 < p < 1, got {p}")
+        self.c = c
+        self.quantile = chi2.ppf(p)
+        self.base = max_norm_sq + q_norm_sq
+        self.a_threshold = 0.5 * c * self.base
 
-    A non-positive denominator means Condition A already holds for ``omax``
-    itself, which subsumes Condition B; we report True in that case.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"guaranteed probability must satisfy 0 < p < 1, got {p}")
-    if proj_dist_sq < 0.0:
-        raise ValueError(f"squared distance must be non-negative, got {proj_dist_sq}")
-    if denominator <= 0.0:
-        return True
-    if math.isinf(denominator):
-        return False
-    return chi2.cdf(proj_dist_sq / denominator) >= p
+    def condition_a(self, kth: float) -> bool:
+        """Formula 1 for the k-th best inner product ``kth`` (−inf: none yet)."""
+        return kth >= self.a_threshold
 
+    def b_threshold(self, kth: float) -> float:
+        """The squared projected distance at which Condition B first holds
+        for the k-th best ``kth``: ``Ψm⁻¹(p)·(‖oM‖² + ‖q‖² − 2·kth/c)``.
 
-def compensation_radius(denominator: float, chi2: ChiSquare, p: float) -> float:
-    """``r' = sqrt(Ψm⁻¹(p) · (‖oM‖² + ‖q‖² − 2⟨omax,q⟩/c))`` (§V-A).
+        It is +inf while there is no candidate (``kth = −inf``) and
+        non-positive once Condition A holds, which subsumes B.
+        """
+        return self.quantile * (self.base - 2.0 * kth / self.c)
 
-    This is the smallest projected-space radius at which Condition B is
-    satisfied for the *current* ``omax``; MIP-Search-II extends its range
-    search to ``r'`` when the Quick-Probe estimate fell short.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"guaranteed probability must satisfy 0 < p < 1, got {p}")
-    if denominator <= 0.0:
-        return 0.0
-    if math.isinf(denominator):
-        raise ValueError("compensation radius undefined without a candidate")
-    return math.sqrt(chi2.ppf(p) * denominator)
+    def condition_b(self, dist_sq: float, kth: float) -> bool:
+        """Formula 2 at squared projected distance ``dist_sq``."""
+        return dist_sq >= self.b_threshold(kth)
+
+    def compensation_radius(self, kth: float) -> tuple[float, float]:
+        """``r'`` for the k-th best ``kth``, with its exact square (§V-A).
+
+        The square is :meth:`b_threshold` itself, so Condition B holds at
+        ``r'`` for the ``kth`` that set it by comparison, not by rounding.
+        Once Condition A holds, ``r' = 0``.  Undefined without a candidate.
+        """
+        threshold = max(self.b_threshold(kth), 0.0)
+        if math.isinf(threshold):
+            raise ValueError("compensation radius undefined without a candidate")
+        return math.sqrt(threshold), threshold

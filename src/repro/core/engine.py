@@ -169,14 +169,16 @@ def merge_topk_panels(
 
 
 class TopK:
-    """Running top-k inner products of one query (min-heap of ``(ip, id)``).
+    """Running top-k inner products of one query, in the ``(-score, id)`` order.
 
-    A candidate enters when the heap has room or when it scores strictly
-    above the current k-th best; :meth:`result` orders the survivors by
-    ``(-score, id)``.  Callers offer each id at most once per query: the
-    ring's range searches report every slot once and MIP-Search-II's annuli
-    are disjoint, and the LSH baselines' buckets and shells partition the
-    points.
+    A min-heap keyed ``(ip, -id)``: its root is the worst kept candidate —
+    the lowest score and, among equal scores, the highest id.  A candidate
+    enters when the heap has room or when its key beats the root's, so the
+    kept set is the first ``k`` offers in the ``(-score, id)`` order whatever
+    order they came in; :meth:`result` lists them in that order.  Callers
+    offer each id at most once per query: the ring's range searches report
+    every slot once and MIP-Search-II's annuli are disjoint, and the LSH
+    baselines' buckets and shells partition the points.
     """
 
     __slots__ = ("k", "_heap")
@@ -186,10 +188,11 @@ class TopK:
         self._heap: list[tuple[float, int]] = []
 
     def offer(self, ip: float, pid: int) -> None:
+        entry = (ip, -pid)
         if len(self._heap) < self.k:
-            heapq.heappush(self._heap, (ip, pid))
-        elif ip > self._heap[0][0]:
-            heapq.heapreplace(self._heap, (ip, pid))
+            heapq.heappush(self._heap, entry)
+        elif entry > self._heap[0]:
+            heapq.heapreplace(self._heap, entry)
 
     def offer_block(self, ids: np.ndarray, ips: np.ndarray, first_stop) -> int:
         """Offer ``(ips[i], ids[i])`` in order until a stop; return its position.
@@ -200,10 +203,12 @@ class TopK:
         hi)``: the first position in ``[lo, hi)`` to stop at while the k-th
         best stays ``kth``, or ``hi`` for none.
 
-        Only *records* — candidates scoring strictly above the k-th best —
-        change the heap; between two of them the k-th best is constant.  So
-        Python walks the records and hands each stretch between them to
-        ``first_stop`` whole.  Returns ``len(ids)`` when no position stops.
+        Only *records* — candidates that beat the worst kept one: a higher
+        score, or the k-th best score with a lower id — change the heap;
+        between two of them the k-th best is constant (and a tied record
+        leaves it as it was).  So Python walks the records and hands each
+        stretch between them to ``first_stop`` whole.  Returns ``len(ids)``
+        when no position stops.
         """
         heap = self._heap
         n = ids.size
@@ -211,28 +216,33 @@ class TopK:
         # asked: at most k offers one by one.
         pos = 0
         while pos < n and len(heap) < self.k:
-            heapq.heappush(heap, (float(ips[pos]), int(ids[pos])))
+            heapq.heappush(heap, (float(ips[pos]), -int(ids[pos])))
             pos += 1
             if len(heap) == self.k and first_stop(heap[0][0], pos - 1, pos) < pos:
                 return pos - 1
         if len(heap) < self.k:
             return n
-        kth = heap[0][0]
-        # Positions that may still be records.  Beating the k-th best only
-        # gets harder as it rises, so the pool only ever shrinks.
+        kth, neg_id = heap[0]
+        # Positions that may still be records.  Beating the worst kept
+        # candidate only gets harder as it rises, so the pool only ever
+        # shrinks.
         pool = np.arange(pos, n)
         while True:
-            pool = pool[ips[pool] > kth]
+            pool = pool[ips[pool] >= kth]
             nxt = int(pool[0]) if pool.size else n
             pool = pool[1:]
+            # A tie at the k-th score is a record only with a lower id than
+            # the worst kept one's; the rest join the stretch.
+            if nxt < n and ips[nxt] == kth and ids[nxt] > -neg_id:
+                continue
             if nxt > pos:
                 hit = first_stop(kth, pos, nxt)
                 if hit < nxt:
                     return hit
             if nxt == n:
                 return n
-            heapq.heapreplace(heap, (float(ips[nxt]), int(ids[nxt])))
-            kth = heap[0][0]
+            heapq.heapreplace(heap, (float(ips[nxt]), -int(ids[nxt])))
+            kth, neg_id = heap[0]
             if first_stop(kth, nxt, nxt + 1) == nxt:
                 return nxt
             pos = nxt + 1
@@ -250,8 +260,8 @@ class TopK:
         return self._heap[0][0]
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:
-        ranked = sorted(self._heap, key=lambda t: (-t[0], t[1]))
-        ids = np.array([pid for _, pid in ranked], dtype=np.int64)
+        ranked = sorted(self._heap, reverse=True)
+        ids = np.array([-neg_id for _, neg_id in ranked], dtype=np.int64)
         ips = np.array([ip for ip, _ in ranked], dtype=np.float64)
         return ids, ips
 
@@ -269,14 +279,12 @@ class CandidateVerifier:
     Owns the Theorem 1/2 incremental traversal shared by ``search`` and
     ``search_many``: offer candidates to the running top-k in ascending
     projected distance and stop at the first candidate after whose offer
-    the O(1) form of Condition A or B holds against the *updated* k-th best.
-    Candidates arrive in the range search's slot order; the verifier orders
-    them by distance itself, ties in arrival order, and only as far as it
-    reads: a :class:`~repro.index.ring_idistance.DistanceOrder` prefix of
-    four blocks, doubled whenever the blocks run past it.
-    Condition B is evaluated through ``dis²(P(oi), P(q)) ≥ Ψm⁻¹(p) · denom``
-    — the CDF comparison inverted once through the cached chi-square
-    quantile — so no per-candidate CDF evaluation is needed.
+    Condition A or B of the query's
+    :class:`~repro.core.conditions.StoppingRule` holds against the *updated*
+    k-th best.  Candidates arrive in the range search's slot order; the
+    verifier orders them by distance itself, ties in arrival order, and only
+    as far as it reads: a :class:`~repro.index.ring_idistance.DistanceOrder`
+    prefix of four blocks, doubled whenever the blocks run past it.
 
     Candidates run in blocks of up to :data:`BLOCK_CHUNKS` chunks of
     :data:`VERIFY_CHUNK` candidates.  The chunk is the unit of both the
@@ -287,22 +295,13 @@ class CandidateVerifier:
     and the pages of exactly ``ceil(verified / 32)`` chunks are charged.
 
     Each block goes to :meth:`TopK.offer_block`, which walks only the
-    *record* candidates — those whose inner product strictly beats the
-    current k-th best — in Python.  Between two records the k-th best is
-    constant, so Condition A cannot newly fire and Condition B's first
-    firing is one ``searchsorted`` of its threshold over the non-decreasing
-    ``dis²``.
-
-    Args:
-        chi2: the cached ``ChiSquare(m)`` of the index.
-        max_norm_sq: ``‖oM‖²`` over the dataset.
+    *record* candidates — those that beat the worst kept one — in Python.
+    Between two records the k-th best is constant, so Condition A cannot
+    newly fire and Condition B's first firing is one ``searchsorted`` of its
+    threshold over the non-decreasing ``dis²``.
     """
 
-    __slots__ = ("_chi2", "_max_norm_sq")
-
-    def __init__(self, chi2, max_norm_sq: float) -> None:
-        self._chi2 = chi2
-        self._max_norm_sq = float(max_norm_sq)
+    __slots__ = ()
 
     def _block_ips(
         self, vectors: np.ndarray, ids: np.ndarray, query: np.ndarray
@@ -328,23 +327,18 @@ class CandidateVerifier:
         dists: np.ndarray,
         query: np.ndarray,
         orig_reader,
-        c: float,
-        p: float,
-        q_norm_sq: float,
+        rule,
     ) -> tuple[str | None, int]:
         """Verify candidates in ascending projected-distance order.
 
         Returns ``(fired_condition, points_verified)`` where
-        ``fired_condition`` is ``"condition_a"``, ``"condition_b"`` or None.
-        Condition A reduces to ``ip_k ≥ c·(‖oM‖² + ‖q‖²)/2`` and Condition B
-        to ``dis² ≥ Ψm⁻¹(p)·(‖oM‖² + ‖q‖² − 2·ip_k/c)``.  ``ids`` and
-        ``dists`` may come in any order (:meth:`RingIDistance.range_search`
-        returns slot order); they are verified in the stable ascending order
-        of ``dists``, which is built only as far as verification reads.
+        ``fired_condition`` is ``"condition_a"``, ``"condition_b"`` or None,
+        as decided by ``rule`` (the query's
+        :class:`~repro.core.conditions.StoppingRule`).  ``ids`` and ``dists``
+        may come in any order (:meth:`RingIDistance.range_search` returns
+        slot order); they are verified in the stable ascending order of
+        ``dists``, which is built only as far as verification reads.
         """
-        quantile = self._chi2.ppf(p)
-        base = self._max_norm_sq + q_norm_sq
-        cond_a_threshold = 0.5 * c * base
         chunk = VERIFY_CHUNK
         block = chunk * BLOCK_CHUNKS
         vectors = orig_reader.vectors
@@ -357,19 +351,16 @@ class CandidateVerifier:
             def first_stop(kth, lo, hi, dist_sq=block_dists * block_dists):
                 # Condition A holds at lo or nowhere; Condition B first
                 # holds where the non-decreasing dis² reaches its threshold.
-                if kth >= cond_a_threshold:
+                if rule.condition_a(kth):
                     return lo
-                threshold = quantile * (base - 2.0 * kth / c)
-                return lo + int(dist_sq[lo:hi].searchsorted(threshold))
+                return lo + int(dist_sq[lo:hi].searchsorted(rule.b_threshold(kth)))
 
             ips = self._block_ips(vectors, block_ids, query)
             pos = topk.offer_block(block_ids, ips, first_stop)
             if pos < block_ids.size:
                 consumed = -(-(pos + 1) // chunk) * chunk
                 orig_reader.charge(block_ids[:consumed])
-                fired = (
-                    "condition_a" if topk.kth_ip >= cond_a_threshold else "condition_b"
-                )
+                fired = "condition_a" if rule.condition_a(topk.kth_ip) else "condition_b"
                 return fired, start + pos + 1
             orig_reader.charge(block_ids)
         return None, ids.size

@@ -38,12 +38,7 @@ from repro.api import (
     validate_data,
 )
 from repro.core.binary_codes import BinaryCodeGroups
-from repro.core.conditions import (
-    compensation_radius,
-    condition_a_holds,
-    condition_b_holds,
-    guarantee_denominator,
-)
+from repro.core.conditions import StoppingRule
 from repro.core.engine import CandidateVerifier, TopK, project_batch
 from repro.core.optimal_dim import optimized_projection_dim
 from repro.core.projection import StableProjection
@@ -127,7 +122,7 @@ class ProMIPS:
         self.orig_store = VectorStore(data, params.page_size, layout_order=ring.layout_order)
         self.max_norm_sq = float(np.einsum("ij,ij->i", data, data).max())
         self._chi2 = self.quickprobe.chi2
-        self._verifier = CandidateVerifier(self._chi2, self.max_norm_sq)
+        self._verifier = CandidateVerifier()
 
     # ------------------------------------------------------------------ build
 
@@ -248,64 +243,56 @@ class ProMIPS:
     ) -> SearchResult:
         """MIP-Search-II for one query, given its projection and probe.
 
-        The adaptive part of Algorithm 3: a first range search at the
-        Quick-Probe radius, chunked verification through the shared
-        :class:`repro.core.engine.CandidateVerifier`, and the compensation
-        loop extending to ``r'`` until a condition fires.
+        The adaptive part of Algorithm 3: range searches over growing annuli,
+        each verified through the shared
+        :class:`repro.core.engine.CandidateVerifier`, until the query's
+        :class:`~repro.core.conditions.StoppingRule` stops it.
         """
-        q_norm_sq = float(query @ query)
+        rule = StoppingRule(self._chi2, self.max_norm_sq, float(query @ query), c, p)
         tree_counter = AccessCounter()
         orig_reader = self.orig_store.reader()
         proj_pages = self.ring.file.bitmap()
 
         # Both files share the ring's layout, so the probe's slot in the
         # original file is its slot in the projected one.
-        probe_vec = self.ring.read_slot(self.orig_store.slot_of(outcome.point_id), proj_pages)
-        radius = float(np.linalg.norm(probe_vec - q_proj))
+        radius = self.ring.slot_distance(
+            self.orig_store.slot_of(outcome.point_id), q_proj, proj_pages
+        )
 
         topk = TopK(k)
-        expansions = 0
+        passes = 0
         total_verified = 0
-
-        # --- first range search at the Quick-Probe radius.  min_radius is
+        # The first pass is the ball at the Quick-Probe radius: min_radius is
         # strict, so the -1 sentinel keeps distance-0 (coincident) points in.
-        ids, dists = self.ring.range_search(
-            q_proj, radius, tree_counter, proj_pages, min_radius=-1.0
-        )
-        fired, verified = self._verifier.verify(
-            topk, ids, dists, query, orig_reader, c, p, q_norm_sq
-        )
-        total_verified += verified
-
-        # --- compensation loop: extend to r' until a condition fires.  The
-        # paper performs one extension; the loop generalises it to k-AMIP
-        # (fewer than k candidates in range) and guarantees termination by
-        # doubling when r' fails to grow.
-        current_radius = radius
-        while fired is None and total_verified < self.n:
-            denominator = guarantee_denominator(self.max_norm_sq, q_norm_sq, topk.kth_ip, c)
-            # Stopping requires a full top-k (the c-k-AMIP conditions are
-            # stated on ok_max); with fewer candidates the radius must grow.
-            if topk.full and condition_b_holds(
-                current_radius**2, denominator, self._chi2, p
-            ):
-                fired = "condition_b"
-                break
-            if math.isinf(denominator):
-                next_radius = max(2.0 * current_radius, self.ring.epsilon)
-            else:
-                next_radius = compensation_radius(denominator, self._chi2, p)
-                if next_radius <= current_radius:
-                    next_radius = 2.0 * current_radius
-            expansions += 1
+        # Each later pass is the annulus out to the next radius, carried with
+        # its exact square.  The paper extends once, to r': there Condition B
+        # holds for the k-th best that set r', and a k-th best that rose in
+        # the annulus only lowers B's threshold.  Only while the top-k is not
+        # full (k-AMIP with fewer than k candidates in range) may that fail
+        # to stop the search; then the radius grows to r' of the partial
+        # top-k, or doubles when that does not grow it.
+        inner, outer, outer_sq = -1.0, radius, radius * radius
+        while True:
             ids, dists = self.ring.range_search(
-                q_proj, next_radius, tree_counter, proj_pages, min_radius=current_radius
+                q_proj, outer, tree_counter, proj_pages, min_radius=inner
             )
             fired, verified = self._verifier.verify(
-                topk, ids, dists, query, orig_reader, c, p, q_norm_sq
+                topk, ids, dists, query, orig_reader, rule
             )
             total_verified += verified
-            current_radius = next_radius
+            passes += 1
+            if fired is not None or total_verified >= self.n:
+                break
+            threshold = rule.b_threshold(topk.kth_ip)
+            if topk.full and threshold <= outer_sq:
+                fired = "condition_b"
+                break
+            inner = outer
+            if outer_sq < threshold < math.inf:
+                outer, outer_sq = rule.compensation_radius(topk.kth_ip)
+            else:
+                outer = max(2.0 * outer, self.ring.epsilon)
+                outer_sq = outer * outer
 
         ids_out, ips_out = topk.result()
         stats = SearchStats(
@@ -317,8 +304,8 @@ class ProMIPS:
             candidates=total_verified,
             extras={
                 "probe_radius": radius,
-                "final_radius": current_radius,
-                "expansions": expansions,
+                "final_radius": outer,
+                "expansions": passes - 1,
                 "probe_passed": outcome.passed,
                 "stopped_by": fired or "exhausted",
                 "condition_a": fired == "condition_a",
@@ -399,7 +386,7 @@ class ProMIPS:
         k = min(k, self.n)
 
         q_proj = project_batch(self.projection.matrix, query[None, :])[0]
-        q_norm_sq = float(query @ query)
+        rule = StoppingRule(self._chi2, self.max_norm_sq, float(query @ query), c, p)
 
         tree_counter = AccessCounter()
         orig_reader = self.orig_store.reader()
@@ -415,11 +402,10 @@ class ProMIPS:
             topk.offer(ip, pid)
             if not topk.full:
                 continue
-            if condition_a_holds(self.max_norm_sq, q_norm_sq, topk.kth_ip, c):
+            if rule.condition_a(topk.kth_ip):
                 stopped_by = "condition_a"
                 break
-            denominator = guarantee_denominator(self.max_norm_sq, q_norm_sq, topk.kth_ip, c)
-            if condition_b_holds(dist * dist, denominator, self._chi2, p):
+            if rule.condition_b(dist * dist, topk.kth_ip):
                 stopped_by = "condition_b"
                 break
 

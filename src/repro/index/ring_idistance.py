@@ -23,7 +23,7 @@ slot-ordered columns, and that is the index's projected page file,
 sub-partition's slot run covers one contiguous page range.  Queries charge
 the pages they read to a per-query ``ring.file.bitmap()``: one closed-form
 page range per chosen slot run, plus the pages of the one slot
-:meth:`RingIDistance.read_slot` reads for ProMIPS' Quick-Probe radius.
+:meth:`RingIDistance.slot_distance` reads for ProMIPS' Quick-Probe radius.
 
 Keys ascend with the sub-partition index, so slot order is B+-tree traversal
 order.  The range search exploits that: at m ≈ 6 the sub-partition spheres
@@ -388,11 +388,12 @@ class RingIDistance:
 
     # ------------------------------------------------------- page accounting
 
-    def read_slot(self, slot: int, pages: np.ndarray) -> np.ndarray:
-        """The coordinates stored at ``slot``, as a contiguous ``(m,)`` row;
-        charges the slot's pages to ``pages``."""
+    def slot_distance(self, slot: int, query: np.ndarray, pages: np.ndarray) -> float:
+        """The distance from the point at ``slot`` to ``query``, computed by
+        the range search's kernel (so it keeps that point in a range search
+        of this radius); charges the slot's pages to ``pages``."""
         pages[self.file.slot_pages(slot)] = True
-        return self._columns[:, slot].copy()
+        return float(column_distances(self._columns[:, slot : slot + 1], query)[0])
 
     # ------------------------------------------------------------------ search
 

@@ -1,10 +1,14 @@
 """Chi-square distribution: CDF ``Ψm`` and inverse CDF ``Ψm⁻¹``.
 
-ProMIPS uses the chi-square CDF everywhere a probability guarantee is made:
+ProMIPS states every probability guarantee through the chi-square CDF:
 
 * Condition B (Formula 2) tests ``Ψm(dis²(P(oi),P(q)) / denom) ≥ p``;
 * Quick-Probe's Test A tests ``Ψm(LB² / (c·(‖o‖₁+‖q‖₁)²)) ≥ p``;
 * the compensation radius is ``r' = sqrt(Ψm⁻¹(p) · denom)``.
+
+``Ψm`` is monotone, so both tests are decided as ``value ≥ Ψm⁻¹(p)``
+through the cached inverse; the CDF itself checks those decisions in the
+tests.
 
 ``Ψm`` is the CDF of the chi-square distribution with ``m`` degrees of
 freedom, ``Ψm(x) = P(m/2, x/2)`` with ``P`` the regularized lower incomplete
@@ -90,8 +94,8 @@ def chi2_ppf(p: float, df: int) -> float:
 class ChiSquare:
     """Chi-square distribution with memoized inverse-CDF lookups.
 
-    ProMIPS evaluates ``Ψm`` per candidate but ``Ψm⁻¹(p)`` only at a handful
-    of ``p`` values, so the inverse is cached.
+    ProMIPS evaluates ``Ψm⁻¹(p)`` once per query and only at a handful of
+    ``p`` values, so the inverse is cached.
     """
 
     def __init__(self, df: int) -> None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.conditions import StoppingRule
 from repro.core.engine import (
     GEMM_PANEL,
     VERIFY_CHUNK,
@@ -155,6 +156,32 @@ class TestTopKHeap:
         assert ids.tolist() == [1, 2]
         assert ips.tolist() == [3.0, 2.0]
 
+    def test_ties_keep_the_lowest_id_whatever_the_offer_order(self):
+        topk = TopK(1)
+        topk.offer(5.0, 7)
+        topk.offer(5.0, 3)
+        assert topk.result()[0].tolist() == [3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+           n=st.integers(0, 80), block=st.booleans())
+    def test_kept_set_is_the_first_k_in_score_then_id_order(self, seed, k, n, block):
+        """Offered one by one or as a block, tie-heavy scores in any order
+        leave the first k of ``lexsort((ids, -scores))``."""
+        gen = np.random.default_rng(seed)
+        ids = gen.permutation(1000)[:n]
+        ips = gen.integers(0, 4, size=n).astype(np.float64)
+        topk = TopK(k)
+        if block:
+            assert topk.offer_block(ids, ips, lambda kth, lo, hi: hi) == n
+        else:
+            for ip, pid in zip(ips.tolist(), ids.tolist()):
+                topk.offer(ip, pid)
+        order = np.lexsort((ids, -ips))[:k]
+        got_ids, got_ips = topk.result()
+        assert got_ids.tolist() == ids[order].tolist()
+        assert got_ips.tolist() == ips[order].tolist()
+
 
 def reference_verify(chi2, max_norm_sq, topk, ids, dists, query, store, pages,
                      c, p, q_norm_sq):
@@ -214,13 +241,14 @@ def _verify_case(seed, n, k, dim, page_size, *, integer_data=False,
     else:
         dists = np.sort(gen.uniform(0.0, reach, size=n))
 
-    verifier = CandidateVerifier(chi2, max_norm_sq)
+    verifier = CandidateVerifier()
+    rule = StoppingRule(chi2, max_norm_sq, q_norm_sq, c, p)
     new_topk, ref_topk = TopK(k), TopK(k)
     new_reader, ref_pages = store.reader(), set()
     outcomes = []
     for lo, hi in ((0, split), (split, n)):
         got = verifier.verify(new_topk, ids[lo:hi], dists[lo:hi], query,
-                              new_reader, c, p, q_norm_sq)
+                              new_reader, rule)
         want = reference_verify(chi2, max_norm_sq, ref_topk, ids[lo:hi],
                                 dists[lo:hi], query, store, ref_pages, c, p, q_norm_sq)
         assert got == want
@@ -279,8 +307,8 @@ class TestCandidateVerifier:
         dists = np.sort(gen.uniform(size=ids.size))
         topk = TopK(5000)
         store = VectorStore(data)
-        verifier = CandidateVerifier(ChiSquare(6), 1e9)
-        verifier.verify(topk, ids, dists, query, store.reader(), 0.9, 0.5, 1.0)
+        rule = StoppingRule(ChiSquare(6), 1e9, 1.0, 0.9, 0.5)
+        CandidateVerifier().verify(topk, ids, dists, query, store.reader(), rule)
         expected = np.concatenate(
             [data[ids[s : s + 32]] @ query for s in range(0, ids.size, 32)]
         )
@@ -304,9 +332,9 @@ class TestCandidateVerifier:
                     x = float(cand)
         dists = np.array([0.0, 0.1 * x, 0.5 * x, x, 1.5 * x, 2.0 * x])
         ids = np.arange(6)
-        verifier = CandidateVerifier(chi2, max_norm_sq)
-        got = verifier.verify(TopK(1), ids, dists, query, VectorStore(data).reader(),
-                              c, p, q_norm_sq)
+        rule = StoppingRule(chi2, max_norm_sq, q_norm_sq, c, p)
+        got = CandidateVerifier().verify(TopK(1), ids, dists, query,
+                                         VectorStore(data).reader(), rule)
         want = reference_verify(chi2, max_norm_sq, TopK(1), ids, dists, query,
                                 VectorStore(data), set(), c, p, q_norm_sq)
         assert got == want == ("condition_b", 4)

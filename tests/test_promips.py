@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import CandidateVerifier
+from repro.core.engine import CandidateVerifier, project_batch
 from repro.core.promips import ProMIPS, ProMIPSParams
 from repro.data.datasets import load_dataset
 from repro.eval.metrics import guarantee_success
@@ -242,6 +242,37 @@ class TestConditionAPath:
         assert result.stats.candidates < 200
 
 
+class TestQuickProbeRadius:
+    def test_probe_point_is_a_candidate_of_the_first_pass(self, monkeypatch):
+        """The Quick-Probe radius is the probe point's distance as the range
+        search measures it, so the ball at that radius reports the point.
+        (A distance summed in another order can be an ulp short of it.)"""
+        data = load_dataset("yahoo", n=3000, dim=32, n_queries=1, seed=0).data
+        gen = np.random.default_rng(5)
+        queries = np.vstack([
+            data[gen.choice(3000, 100, replace=False)],
+            gen.standard_normal((100, 32)) * data.std(),
+        ])
+        index = build_index("promips()", data, rng=1)
+        outcomes = index.quickprobe.probe_many(
+            project_batch(index.projection.matrix, queries),
+            np.array([float(np.abs(q).sum()) for q in queries]), 0.9, 0.5,
+        )
+        passes: list[np.ndarray] = []
+        range_search = RingIDistance.range_search
+
+        def recording(self, *args, **kwargs):
+            ids, dists = range_search(self, *args, **kwargs)
+            passes.append(ids)
+            return ids, dists
+
+        monkeypatch.setattr(RingIDistance, "range_search", recording)
+        for query, outcome in zip(queries, outcomes):
+            passes.clear()
+            index.search(query, k=10)
+            assert outcome.point_id in passes[0]
+
+
 class TestEachIdOfferedOnce:
     """The running top-k keeps no seen-set, so within one query no id may
     reach it twice: not across the first range search and the compensation
@@ -272,7 +303,8 @@ class TestEachIdOfferedOnce:
 
         monkeypatch.setattr(CandidateVerifier, "verify", recording)
         expansions = []
-        for k in (10, 300):
+        # At k = 899 of 900 points the top-k is often still short after r'.
+        for k in (10, 300, 899):
             for query in queries:
                 received.clear()
                 result = index.search(query, k=k)
@@ -281,6 +313,27 @@ class TestEachIdOfferedOnce:
                 assert len(received) == result.stats.extras["expansions"] + 1
                 expansions.append(result.stats.extras["expansions"])
         assert max(expansions) >= 2  # several compensation annuli were covered
+
+    def test_a_full_top_k_takes_no_second_extension(self, tied, monkeypatch):
+        """An extension that starts with a full top-k goes out to r', where
+        Condition B holds for the k-th best that set r' (a k-th best that
+        rises on the way only lowers B's threshold): it is the query's last
+        pass.  Deciding B at r' by a rounded CDF doubled the radius on 7 of
+        these 24 searches."""
+        index, queries = tied
+        full_at_call: list[bool] = []
+        verify = CandidateVerifier.verify
+
+        def recording(self, topk, *args):
+            full_at_call.append(topk.full)
+            return verify(self, topk, *args)
+
+        monkeypatch.setattr(CandidateVerifier, "verify", recording)
+        for k in (10, 300):
+            for query in queries:
+                full_at_call.clear()
+                index.search(query, k=k)
+                assert not any(full_at_call[1:-1])
 
     def test_incremental_rounds_share_no_id(self, tied, monkeypatch):
         index, queries = tied

@@ -14,12 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.binary_codes import BinaryCodeGroups
-from repro.core.conditions import (
-    compensation_radius,
-    condition_a_holds,
-    condition_b_holds,
-    guarantee_denominator,
-)
+from repro.core.conditions import StoppingRule
 from repro.core.projection import StableProjection
 from repro.stats.chi2 import ChiSquare
 
@@ -41,33 +36,65 @@ class TestTheorem1Property:
         q_norm_sq = float(query @ query)
         ips = data @ query
         best = float(ips.max())
+        rule = StoppingRule(ChiSquare(6), max_norm_sq, q_norm_sq, c, 0.5)
         for ip in ips[:10]:
-            if condition_a_holds(max_norm_sq, q_norm_sq, float(ip), c):
+            if rule.condition_a(float(ip)):
                 assert ip >= c * best - 1e-7 * (1.0 + abs(best))
 
 
 class TestConditionBConsistency:
-    """Condition B ⇔ the compensation radius, on arbitrary inputs."""
+    """Condition B ⇔ Formula 2 ⇔ the compensation radius, on arbitrary inputs."""
 
     @given(
-        st.integers(2, 12),
+        st.integers(1, 12),
         st.floats(0.05, 0.95),
-        st.floats(0.01, 1000.0),
+        st.floats(0.0, 100.0),
+        st.floats(0.0, 100.0),
+        st.floats(-50.0, 50.0),
     )
     @settings(max_examples=80, deadline=None)
-    def test_radius_is_the_condition_boundary(self, m, p, denom):
-        chi2 = ChiSquare(m)
-        radius = compensation_radius(denom, chi2, p)
-        assert condition_b_holds(radius**2 * (1 + 1e-9), denom, chi2, p)
+    def test_radius_is_the_condition_boundary(self, m, p, max_norm_sq, q_norm_sq, kth):
+        rule = StoppingRule(ChiSquare(m), max_norm_sq, q_norm_sq, 0.9, p)
+        radius, radius_sq = rule.compensation_radius(kth)
+        assert radius == np.sqrt(radius_sq)
+        assert rule.condition_b(radius_sq, kth)
         if radius > 0:
-            assert not condition_b_holds(radius**2 * (1 - 1e-6), denom, chi2, p)
+            assert not rule.condition_b(float(np.nextafter(radius_sq, 0.0)), kth)
+
+    @given(
+        st.sampled_from([1, 2, 6, 10]),
+        st.floats(0.05, 0.95),
+        st.floats(0.05, 0.95),
+        st.floats(0.0, 100.0),
+        st.floats(0.0, 100.0),
+        st.floats(-50.0, 50.0),
+        st.floats(0.0, 3.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_condition_b_is_formula_two(self, m, c, p, max_norm_sq, q_norm_sq, kth, ratio):
+        """The rule's threshold comparison decides Formula 2,
+        ``Ψm(dis² / denominator) ≥ p``, everywhere outside a 1e-9 relative
+        band around the quantile, where the regularized-gamma CDF and the
+        cached quantile may round apart; a non-positive denominator means
+        Condition A holds, which subsumes B."""
+        chi2 = ChiSquare(m)
+        rule = StoppingRule(chi2, max_norm_sq, q_norm_sq, c, p)
+        quantile = chi2.ppf(p)
+        denominator = max_norm_sq + q_norm_sq - 2.0 * kth / c
+        dist_sq = ratio * quantile * abs(denominator)
+        if denominator <= 0.0:
+            assert rule.condition_b(dist_sq, kth)
+            return
+        x = dist_sq / denominator
+        if abs(x - quantile) > 1e-9 * quantile:
+            assert rule.condition_b(dist_sq, kth) == (chi2.cdf(x) >= p)
 
     @given(st.integers(2, 12), st.floats(0.05, 0.95))
     @settings(max_examples=40, deadline=None)
     def test_denominator_monotone_in_ip(self, m, c):
-        ips = [-5.0, 0.0, 1.0, 10.0]
-        denoms = [guarantee_denominator(9.0, 4.0, ip, c) for ip in ips]
-        assert denoms == sorted(denoms, reverse=True)
+        rule = StoppingRule(ChiSquare(m), 9.0, 4.0, c, 0.5)
+        thresholds = [rule.b_threshold(ip) for ip in (-5.0, 0.0, 1.0, 10.0)]
+        assert thresholds == sorted(thresholds, reverse=True)
 
 
 class TestProjectionContractsGroups:

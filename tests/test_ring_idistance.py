@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import engine
+from repro.core.conditions import StoppingRule
 from repro.core.engine import TopK
 from repro.core.promips import ProMIPS, ProMIPSParams
 from repro.index.ring_idistance import (
@@ -196,14 +197,19 @@ class TestRunReads:
             assert page_set(pages) == slot_pages_reference(slots, stride, page_size)
 
     @pytest.mark.parametrize("page_size", [4096, 64, 16, 8])
-    def test_read_slot_returns_the_row_and_charges_its_pages(self, ring, points, page_size):
+    def test_slot_distance_is_the_range_search_distance_and_charges_its_pages(
+        self, ring, points, page_size
+    ):
         ring = RingIDistance.from_state(points, ring.state(), page_size=page_size)
+        query = np.random.default_rng(page_size).standard_normal(ring.dim)
         for slot in (0, 1, 7, len(points) // 2, len(points) - 1):
             pages = ring.file.bitmap()
-            row = ring.read_slot(slot, pages)
-            want = points[ring.layout_order[slot]]
-            assert row.flags.c_contiguous and row.tobytes() == want.tobytes()
+            dist = ring.slot_distance(slot, query, pages)
             assert page_set(pages) == slot_pages_reference([slot], ring.dim * 4, page_size)
+            # A range search at that radius keeps the point, at that distance.
+            ids, dists = ring.range_search(query, dist)
+            hit = ids == ring.layout_order[slot]
+            assert np.count_nonzero(hit) == 1 and dists[hit][0] == dist
 
 
 def _relaid(ring, points, layout, page_size):
@@ -566,13 +572,14 @@ class TestDuplicateRows:
             q_proj = index.projection.project(query[None, :])[0]
             q_norm_sq = float(query @ query)
             for radius, p in ((1.0, 0.5), (3.0, 0.9), (50.0, 0.99)):
+                rule = StoppingRule(index._chi2, index.max_norm_sq, q_norm_sq, 0.9, p)
                 ids, dists = index.ring.range_search(q_proj, radius)
                 stable = np.argsort(dists, kind="stable")
                 runs = []
                 for cand_ids, cand_dists in ((ids, dists), (ids[stable], dists[stable])):
                     topk, reader = TopK(7), index.orig_store.reader()
                     got = index._verifier.verify(topk, cand_ids, cand_dists, query,
-                                                 reader, 0.9, p, q_norm_sq)
+                                                 reader, rule)
                     runs.append((got, *topk.result(), reader._touched))
                 (got, *rest), (want, *ref) = runs
                 assert got == want
