@@ -388,12 +388,18 @@ class RingIDistance:
 
     # ------------------------------------------------------- page accounting
 
+    def read_slot(self, slot: int, pages: np.ndarray) -> np.ndarray:
+        """The coordinates stored at ``slot``, as a contiguous ``(m,)`` row;
+        charges the slot's pages to ``pages``."""
+        pages[self.file.slot_pages(slot)] = True
+        return self._columns[:, slot].copy()
+
     def slot_distance(self, slot: int, query: np.ndarray, pages: np.ndarray) -> float:
         """The distance from the point at ``slot`` to ``query``, computed by
         the range search's kernel (so it keeps that point in a range search
         of this radius); charges the slot's pages to ``pages``."""
-        pages[self.file.slot_pages(slot)] = True
-        return float(column_distances(self._columns[:, slot : slot + 1], query)[0])
+        row = self.read_slot(slot, pages)
+        return float(column_distances(row[:, None], query)[0])
 
     # ------------------------------------------------------------------ search
 

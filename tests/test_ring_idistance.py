@@ -197,6 +197,16 @@ class TestRunReads:
             assert page_set(pages) == slot_pages_reference(slots, stride, page_size)
 
     @pytest.mark.parametrize("page_size", [4096, 64, 16, 8])
+    def test_read_slot_returns_the_row_and_charges_its_pages(self, ring, points, page_size):
+        ring = RingIDistance.from_state(points, ring.state(), page_size=page_size)
+        for slot in (0, 1, 7, len(points) // 2, len(points) - 1):
+            pages = ring.file.bitmap()
+            row = ring.read_slot(slot, pages)
+            want = points[ring.layout_order[slot]]
+            assert row.flags.c_contiguous and row.tobytes() == want.tobytes()
+            assert page_set(pages) == slot_pages_reference([slot], ring.dim * 4, page_size)
+
+    @pytest.mark.parametrize("page_size", [4096, 64, 16, 8])
     def test_slot_distance_is_the_range_search_distance_and_charges_its_pages(
         self, ring, points, page_size
     ):
