@@ -66,7 +66,7 @@ from repro.spec import (
     registered_methods,
 )
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "MIPSIndex",

@@ -14,7 +14,10 @@ fires, ordering only the prefix it reads, and a compensation pass extends
 the radius to ``r'`` when neither has.  The batch-wide work — one GEMM
 projecting every query, one vectorized Quick-Probe group scan — is
 row-independent, and the adaptive range-search/verification core runs per
-query, so ``search`` is simply the one-row batch.
+query, so ``search`` is simply the one-row batch.  The per-query cores of a
+batch run concurrently on the index's :class:`~repro.core.fanout.FanOut`
+pool: each row owns its top-k, page bitmaps and counters and only reads the
+index, so which thread runs it cannot change its answer.
 
 ``search_incremental`` implements MIP-Search-I (Algorithm 1), the
 incremental-NN variant that Quick-Probe was designed to replace; it is kept
@@ -40,6 +43,7 @@ from repro.api import (
 from repro.core.binary_codes import BinaryCodeGroups
 from repro.core.conditions import StoppingRule
 from repro.core.engine import CandidateVerifier, TopK, project_batch
+from repro.core.fanout import FanOut
 from repro.core.optimal_dim import optimized_projection_dim
 from repro.core.projection import StableProjection
 from repro.core.quickprobe import ProbeOutcome, QuickProbe
@@ -123,6 +127,7 @@ class ProMIPS:
         self.max_norm_sq = float(np.einsum("ij,ij->i", data, data).max())
         self._chi2 = self.quickprobe.chi2
         self._verifier = CandidateVerifier()
+        self._fanout = FanOut("promips-rows")
 
     # ------------------------------------------------------------------ build
 
@@ -338,8 +343,13 @@ class ProMIPS:
         every query, and Quick-Probe scans the group summaries for the whole
         batch in one pass — while the adaptive range-search/verification core
         (radii, stopping conditions, compensation) stays per query because
-        each query terminates at its own radius.  No step mixes rows, so a
-        query's answer never depends on its batch.
+        each query terminates at its own radius.  The per-query cores run
+        one task per row on the index's fan-out pool (inline for one row,
+        on one CPU, or on a shard worker of a sharded index).  No step mixes
+        rows — a row reads only the index and its own projection and probe,
+        and keeps its own top-k, page bitmaps and counters — so neither the
+        batch nor the thread a row runs on can change its answer, its
+        :class:`SearchStats` or its page count.
 
         Args:
             queries: ``(n_q, d)`` query batch (a single ``(d,)`` query is
@@ -359,10 +369,10 @@ class ProMIPS:
         q_projs = project_batch(self.projection.matrix, queries)
         q_l1s = np.array([float(np.abs(q).sum()) for q in queries])
         outcomes = self.quickprobe.probe_many(q_projs, q_l1s, c, p)
-        results = [
-            self._search_core(query, q_projs[i], outcomes[i], k, c, p)
-            for i, query in enumerate(queries)
-        ]
+        results = self._fanout.map(
+            lambda i: self._search_core(queries[i], q_projs[i], outcomes[i], k, c, p),
+            queries.shape[0],
+        )
         return BatchResult.from_results(results)
 
     def search_incremental(

@@ -12,9 +12,12 @@ where exact MIPS serving wins.
 (contiguous ranges or a deterministic multiplicative hash of the point id),
 builds **any** spec-described method per shard through
 :func:`repro.spec.build_index`, and answers ``search``/``search_many`` by
-fanning the query set out over the shards on one long-lived thread pool per
-index (NumPy releases the GIL inside the BLAS kernels every shard leans
-on) and exact-merging the per-shard top-k lists.
+fanning the query set out over the shards and exact-merging the per-shard
+top-k lists.  The fan-out runs on the index's own
+:class:`~repro.core.fanout.FanOut` pool, the long-lived thread pool
+ProMIPS also fans its rows out on (NumPy releases the GIL inside the
+kernels every shard leans on); a shard worker runs its shard's rows inline,
+so a sharded ProMIPS starts no second pool.
 
 The merge is *bit-identical* to the unsharded index for exact inner methods,
 ties included: shard-local scores come out of the same fixed-shape GEMM
@@ -45,10 +48,7 @@ cannot belong to their shards.
 
 from __future__ import annotations
 
-import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -63,6 +63,7 @@ from repro.api import (
     validate_data,
 )
 from repro.core.engine import MERGE_SENTINEL, merge_topk_panels
+from repro.core.fanout import FanOut
 from repro.core.persist import pack_substate, unpack_substate
 from repro.core.rng import resolve_rng
 from repro.spec import IndexSpec, build_index, register_method
@@ -155,10 +156,8 @@ class ShardedIndex:
         # ``search_many`` call (the throughput harness reports these).
         self.last_shard_seconds: list[float] | None = None
         # One fan-out pool for the index's lifetime: a pool per call would
-        # spawn and join threads on every served query.  Its idle workers
-        # exit when the index (and so the pool) is collected.
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
+        # spawn and join threads on every served query.
+        self._fanout = FanOut("shard-fanout")
 
     def _check_members(self) -> None:
         """Reject member tables that cannot map their shards' local ids:
@@ -316,11 +315,12 @@ class ShardedIndex:
         """Fan a batch out over the shards and merge per query.
 
         Each shard answers the *whole* batch through its own
-        ``search_many``; shards run concurrently on the index's long-lived
-        thread pool, ``min(n_shards, cpu_count)`` wide (BLAS releases the
-        GIL, so per-shard GEMMs overlap on real cores).  A width of one
-        runs every shard on the calling thread.  Per-shard wall-clock
-        seconds land in :attr:`last_shard_seconds`.
+        ``search_many``; shards run concurrently, one task each, on the
+        index's :class:`~repro.core.fanout.FanOut` pool, as wide as the
+        CPUs the process may use (BLAS releases the GIL, so per-shard GEMMs
+        overlap on real cores).  On one CPU every shard runs on the calling
+        thread.  Per-shard wall-clock seconds land in
+        :attr:`last_shard_seconds`.
 
         Args:
             queries: ``(n_q, d)`` batch (one ``(d,)`` query is promoted).
@@ -341,25 +341,9 @@ class ShardedIndex:
             timings[s] = time.perf_counter() - start
             return batch
 
-        # Each shard is one task, so a pool wider than the shard count
-        # would only oversubscribe.
-        width = min(self.n_shards, os.cpu_count() or 1)
-        if width > 1:
-            pool = self._fanout_pool(width)
-            shard_batches = list(pool.map(run_shard, range(self.n_shards)))
-        else:
-            shard_batches = [run_shard(s) for s in range(self.n_shards)]
+        shard_batches = self._fanout.map(run_shard, self.n_shards)
         self.last_shard_seconds = timings
         return self._merge_batches(shard_batches, queries.shape[0], k)
-
-    def _fanout_pool(self, width: int) -> ThreadPoolExecutor:
-        """The index's fan-out pool, created ``width`` wide on first use."""
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=width, thread_name_prefix="shard-fanout"
-                )
-            return self._pool
 
     def _merge_batches(
         self, shard_batches: list[BatchResult], n_q: int, k: int

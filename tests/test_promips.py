@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from repro.core import fanout
 from repro.core.engine import CandidateVerifier, project_batch
 from repro.core.promips import ProMIPS, ProMIPSParams
 from repro.data.datasets import load_dataset
@@ -352,3 +359,184 @@ class TestEachIdOfferedOnce:
             ids = np.concatenate(received)
             assert np.unique(ids).size == ids.size
             assert len(received) >= 2
+
+
+@pytest.fixture(params=[1, 2, 4], ids=lambda w: f"width{w}")
+def width(request, monkeypatch):
+    """Patch the usable-CPU count every fan-out pool reads."""
+    monkeypatch.setattr(fanout, "fanout_width", lambda: request.param)
+    return request.param
+
+
+def _record_rows(index) -> list:
+    """Record the thread of every row ``index.search_many`` runs."""
+    seen = []
+    inner = index._search_core
+
+    def spy(*args):
+        seen.append(threading.current_thread())
+        return inner(*args)
+
+    index._search_core = spy
+    return seen
+
+
+class TestRowFanOut:
+    """``search_many`` runs its rows one task each on the index's fan-out
+    pool; no row can tell on which thread it ran."""
+
+    SPEC = "promips(m=5, kp=3, n_key=10, ksp=4)"
+
+    def test_width_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert fanout.fanout_width() == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert fanout.fanout_width() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert fanout.fanout_width() == 1
+
+    def test_rows_match_looped_search_bit_for_bit(self, built, width):
+        data, queries, _ = built
+        index = ProMIPS.build(data, ProMIPSParams(c=0.9, p=0.5), rng=3)
+        for k, c in ((10, None), (1, 0.7)):
+            batch = index.search_many(queries, k=k, c=c)
+            for i, query in enumerate(queries):
+                single = index.search(query, k=k, c=c)
+                row = batch[i]
+                assert np.array_equal(single.ids, row.ids)
+                assert single.scores.tobytes() == row.scores.tobytes()
+                assert single.stats.pages == row.stats.pages
+                assert single.stats.candidates == row.stats.candidates
+                assert single.stats.extras == row.stats.extras
+
+    def test_rows_run_off_the_calling_thread(self, latent_small, width):
+        data, queries = latent_small
+        index = build_index(self.SPEC, data, rng=1)
+        seen = _record_rows(index)
+        index.search_many(queries, k=5)
+        assert len(seen) == len(queries)
+        if width == 1:
+            assert set(seen) == {threading.current_thread()}
+        else:
+            assert threading.current_thread() not in seen
+            assert len(set(seen)) <= width
+        # A single query is a one-row batch: it runs inline.
+        seen.clear()
+        index.search(queries[0], k=5)
+        assert seen == [threading.current_thread()]
+
+    def test_sharded_rows_run_inline_on_shard_workers(self, latent_small, width):
+        data, queries = latent_small
+        sharded = build_index(f"sharded(inner='{self.SPEC}', shards=2)", data, rng=1)
+        per_shard = [_record_rows(shard) for shard in sharded.shards]
+        callers = []
+        for shard in sharded.shards:
+            inner = shard.search_many
+
+            def spy(*args, _inner=inner, **kwargs):
+                callers.append(threading.current_thread())
+                return _inner(*args, **kwargs)
+
+            shard.search_many = spy
+        sharded.search_many(queries, k=5)
+        for seen in per_shard:
+            assert len(seen) == len(queries)
+            assert len(set(seen)) == 1 and set(seen) <= set(callers)
+        assert all(shard._fanout._pool is None for shard in sharded.shards)
+
+    def test_dynamic_fans_its_inner_batch_out(self, latent_small, width):
+        data, queries = latent_small
+        index = build_index("dynamic(m=5, kp=3, n_key=10, ksp=4)", data, rng=1)
+        index.insert(queries[0] * 2.0)
+        index.delete(3)
+        seen = _record_rows(index._index)
+        batch = index.search_many(queries, k=5)
+        assert len(seen) == len(queries)
+        assert (threading.current_thread() in seen) == (width == 1)
+        for i, query in enumerate(queries):
+            single = index.search(query, k=5)
+            assert np.array_equal(single.ids, batch[i].ids)
+            assert single.scores.tobytes() == batch[i].scores.tobytes()
+
+    def test_a_failing_row_propagates_and_the_pool_serves_on(
+        self, latent_small, width
+    ):
+        data, queries = latent_small
+        index = build_index(self.SPEC, data, rng=1)
+        expected = index.search_many(queries, k=5)
+        inner = index._search_core
+        started, finished = [], []
+        lock = threading.Lock()
+
+        def failing(query, *args):
+            with lock:
+                started.append(query)
+            if query.tobytes() == queries[3].tobytes():
+                raise RuntimeError("row 3 failed")
+            time.sleep(0.01)
+            result = inner(query, *args)
+            with lock:
+                finished.append(query)
+            return result
+
+        index._search_core = failing
+        with pytest.raises(RuntimeError, match="row 3 failed"):
+            index.search_many(queries, k=5)
+        # Every row that started has finished before the call returned.
+        with lock:
+            assert len(finished) == len(started) - 1
+        index._search_core = inner
+        again = index.search_many(queries, k=5)
+        assert np.array_equal(again.ids, expected.ids)
+        assert again.scores.tobytes() == expected.scores.tobytes()
+
+    def test_row_workers_exit_with_the_index(self, latent_small, width):
+        data, queries = latent_small
+        index = build_index(self.SPEC, data, rng=1)
+        seen = _record_rows(index)
+        index.search_many(queries, k=5)
+        workers = set(seen) - {threading.current_thread()}
+        if width == 1:
+            assert not workers
+        else:
+            assert 1 <= len(workers) <= width
+        del index, seen
+        gc.collect()
+        for thread in workers:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+    def test_concurrent_callers_share_one_pool(self, latent_small, monkeypatch):
+        # More callers than CPUs, switching often: the lazily created pool
+        # must be created once, and every caller must get its own rows back.
+        monkeypatch.setattr(fanout, "fanout_width", lambda: 2)
+        data, queries = latent_small
+        index = build_index(self.SPEC, data, rng=1)
+        expected = [index.search(q, k=5) for q in queries]
+        seen = _record_rows(index)
+        failures = []
+
+        def caller(offset):
+            rows = np.roll(queries, offset, axis=0)
+            got = index.search_many(rows, k=5)
+            for i in range(len(rows)):
+                want = expected[(i - offset) % len(queries)]
+                if not np.array_equal(got[i].ids, want.ids):
+                    failures.append(offset)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(j,)) for j in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert len(seen) == 6 * len(queries)
+        assert len(set(seen)) <= 2
+        assert all(thread.name.startswith("promips-rows") for thread in seen)

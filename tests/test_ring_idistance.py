@@ -221,6 +221,22 @@ class TestRunReads:
             hit = ids == ring.layout_order[slot]
             assert np.count_nonzero(hit) == 1 and dists[hit][0] == dist
 
+    @pytest.mark.parametrize("m", [1, 6, 9, 129])
+    def test_slot_distance_is_the_kernel_column_bytes(self, m):
+        # The one-slot path sums in the kernel's order: below 8 terms, with
+        # eight accumulators and a remainder, and in halves past 128.
+        gen = np.random.default_rng(m)
+        points = gen.standard_normal((200, m)) * np.logspace(-2, 2, 200)[:, None]
+        ring = RingIDistance(points, kp=3, n_key=4, ksp=2, rng=np.random.default_rng(1))
+        for scale in (1e-3, 1.0, 1e3):
+            query = gen.standard_normal(m) * scale
+            for slot in (0, 1, 57, 199):
+                dist = ring.slot_distance(slot, query, ring.file.bitmap())
+                row = points[ring.layout_order[slot]]
+                want = column_distances(row[:, None], query)
+                assert isinstance(dist, float)
+                assert np.array([dist]).tobytes() == want.tobytes(), (m, scale, slot)
+
 
 def _relaid(ring, points, layout, page_size):
     """The sub-partitions of ``ring`` at ``page_size``, in one of three slot

@@ -9,12 +9,12 @@ including counts that do not divide ``n``.
 from __future__ import annotations
 
 import gc
-import os
 import threading
 
 import numpy as np
 import pytest
 
+from repro.core import fanout
 from repro.core.persist import inspect_index, load_index, save_index
 from repro.core.sharded import ShardedIndex, _assign_members
 from repro.spec import IndexSpec, build_index, registered_methods
@@ -183,7 +183,6 @@ class TestEdges:
         assert all(t >= 0.0 for t in sharded.last_shard_seconds)
 
     def test_thread_pool_fanout_matches_sequential(self, workload, monkeypatch):
-        import os
         import threading
 
         data, queries = workload
@@ -200,11 +199,11 @@ class TestEdges:
 
         def run(cpus):
             threads.clear()
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(fanout, "fanout_width", lambda: cpus)
             return sharded.search_many(queries, k=10), set(threads)
 
-        # The fan-out width is min(n_shards, cpu_count): one CPU runs every
-        # shard on the calling thread, four run them on the pool.
+        # One usable CPU runs every shard on the calling thread, four run
+        # them on the pool.
         sequential, seq_threads = run(1)
         pooled, pool_threads = run(4)
         assert seq_threads == {threading.get_ident()}
@@ -228,7 +227,7 @@ class TestEdges:
 
     def test_fanout_pool_is_reused_across_calls(self, workload, monkeypatch):
         data, queries = workload
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(fanout, "fanout_width", lambda: 2)
         sharded = ShardedIndex.build(data, inner="exact()", shards=2, rng=1)
         seen = self._record_threads(sharded)
         for _ in range(20):
@@ -239,7 +238,7 @@ class TestEdges:
 
     def test_fanout_workers_exit_with_the_index(self, workload, monkeypatch):
         data, queries = workload
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(fanout, "fanout_width", lambda: 2)
         sharded = ShardedIndex.build(data, inner="exact()", shards=2, rng=1)
         seen = self._record_threads(sharded)
         sharded.search_many(queries[:3], k=5)
