@@ -50,12 +50,15 @@ class FanOut:
 
     Args:
         name: prefix of the pool's thread names.
+        max_width: most workers for an owner whose calls never have more
+            items (a sharded index's shard count); ``None`` for no cap.
     """
 
-    __slots__ = ("_name", "_pool", "_lock")
+    __slots__ = ("_name", "_max_width", "_pool", "_lock")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, max_width: int | None = None) -> None:
         self._name = name
+        self._max_width = max_width
         self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
 
@@ -69,6 +72,8 @@ class FanOut:
         if n <= 1 or getattr(_worker, "active", False):
             return [fn(i) for i in range(n)]
         width = fanout_width()
+        if self._max_width is not None:
+            width = min(width, self._max_width)
         if width <= 1:
             return [fn(i) for i in range(n)]
         pool = self._executor(width)

@@ -156,8 +156,9 @@ class ShardedIndex:
         # ``search_many`` call (the throughput harness reports these).
         self.last_shard_seconds: list[float] | None = None
         # One fan-out pool for the index's lifetime: a pool per call would
-        # spawn and join threads on every served query.
-        self._fanout = FanOut("shard-fanout")
+        # spawn and join threads on every served query.  Each shard is one
+        # task, so a pool wider than the shard count would only oversubscribe.
+        self._fanout = FanOut("shard-fanout", max_width=self.n_shards)
 
     def _check_members(self) -> None:
         """Reject member tables that cannot map their shards' local ids:
@@ -317,9 +318,9 @@ class ShardedIndex:
         Each shard answers the *whole* batch through its own
         ``search_many``; shards run concurrently, one task each, on the
         index's :class:`~repro.core.fanout.FanOut` pool, as wide as the
-        CPUs the process may use (BLAS releases the GIL, so per-shard GEMMs
-        overlap on real cores).  On one CPU every shard runs on the calling
-        thread.  Per-shard wall-clock seconds land in
+        shard count or the usable CPUs, whichever is fewer (BLAS releases
+        the GIL, so per-shard GEMMs overlap on real cores).  On one CPU
+        every shard runs on the calling thread.  Per-shard wall-clock seconds land in
         :attr:`last_shard_seconds`.
 
         Args:

@@ -39,8 +39,6 @@ consumer orders only what it reads, a growing prefix at a time
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.cluster.kmeans import kmeans
@@ -62,8 +60,7 @@ _PAIRWISE_BLOCK = 128
 
 def _sum_rows(sq: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Sum rows ``lo:hi`` of ``sq`` in place, in the order numpy's contiguous
-    ``add.reduce`` sums the elements of one row of the transpose.  On an
-    ``(m,)`` column the rows are its elements and the sum is a scalar."""
+    ``add.reduce`` sums the elements of one row of the transpose."""
     n = hi - lo
     if n < 8:
         acc = sq[lo]
@@ -127,11 +124,10 @@ class DistanceOrder:
     extension finds the value at its cut with ``np.partition``, selects the
     positions with ``prev_cut < d <= cut`` in position order, and sorts them
     by distance.  Cutting by value keeps every element tied at the cut, so
-    which of them a partition happens to put first cannot matter.  The sort
-    itself is unstable; when two selected distances are equal, only the
-    members of such tied runs are put back in position order.  The first
-    prefix holds :attr:`FIRST` positions and each extension at least doubles
-    the ordered count.
+    which of them a partition happens to put first cannot matter, and the
+    sort falls back to a stable one only when two selected distances are
+    equal.  The first prefix holds :attr:`FIRST` positions and each extension
+    at least doubles the ordered count.
     """
 
     # Four of CandidateVerifier's 2048-candidate blocks.
@@ -166,18 +162,8 @@ class DistanceOrder:
         values = dists[picked]
         order = np.argsort(values)
         ranked = values[order]
-        ties = ranked[1:] == ranked[:-1]
-        if ties.any():
-            # Put each run of equal distances back in position order: sort
-            # its members by one int64 key, (run id, position), in which the
-            # run id keeps every member inside its run's span.
-            tied = np.zeros(order.size, dtype=bool)
-            tied[1:] = ties
-            tied[:-1] |= ties
-            at = np.flatnonzero(tied)
-            run = np.cumsum(np.concatenate(([False], ~ties)), dtype=np.int64)[at]
-            key = run * order.size + order[at]
-            order[at] = np.sort(key) - run * order.size
+        if (ranked[1:] == ranked[:-1]).any():
+            order = np.argsort(values, kind="stable")
         self._order[self._filled : self._filled + picked.size] = picked[order]
         self._filled += picked.size
         self._cut = cut
@@ -409,17 +395,11 @@ class RingIDistance:
         return self._columns[:, slot].copy()
 
     def slot_distance(self, slot: int, query: np.ndarray, pages: np.ndarray) -> float:
-        """The distance from the point at ``slot`` to ``query``, computed in
-        the range search's arithmetic (so it keeps that point in a range
-        search of this radius); charges the slot's pages to ``pages``.
-
-        One column of :func:`column_distances` without its tiling: the same
-        subtraction, squares and :func:`_sum_rows` summation order, on an
-        ``(m,)`` row."""
+        """The distance from the point at ``slot`` to ``query``, computed by
+        the range search's kernel (so it keeps that point in a range search
+        of this radius); charges the slot's pages to ``pages``."""
         row = self.read_slot(slot, pages)
-        row -= query
-        row *= row
-        return math.sqrt(_sum_rows(row, 0, self.dim))
+        return float(column_distances(row[:, None], query)[0])
 
     # ------------------------------------------------------------------ search
 

@@ -223,8 +223,9 @@ class TestRunReads:
 
     @pytest.mark.parametrize("m", [1, 6, 9, 129])
     def test_slot_distance_is_the_kernel_column_bytes(self, m):
-        # The one-slot path sums in the kernel's order: below 8 terms, with
-        # eight accumulators and a remainder, and in halves past 128.
+        # The probe radius is the kernel's own column, whatever the summation
+        # order: below 8 terms, eight accumulators and a remainder, halves
+        # past 128.
         gen = np.random.default_rng(m)
         points = gen.standard_normal((200, m)) * np.logspace(-2, 2, 200)[:, None]
         ring = RingIDistance(points, kp=3, n_key=4, ksp=2, rng=np.random.default_rng(1))

@@ -236,6 +236,29 @@ class TestEdges:
         assert len(set(seen)) <= 2
         assert threading.current_thread() not in seen
 
+    def test_fanout_pool_is_no_wider_than_the_shard_count(self, workload, monkeypatch):
+        # Each shard is one task, so concurrent callers of a 2-shard index
+        # share two workers however many CPUs the process may use.
+        data, queries = workload
+        monkeypatch.setattr(fanout, "fanout_width", lambda: 8)
+        sharded = ShardedIndex.build(data, inner="exact()", shards=2, rng=1)
+        seen = self._record_threads(sharded)
+        barrier = threading.Barrier(6)
+
+        def caller():
+            barrier.wait()
+            for _ in range(5):
+                sharded.search_many(queries[:3], k=5)
+
+        callers = [threading.Thread(target=caller) for _ in range(6)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join()
+        assert len(seen) == 60
+        assert not set(seen) & set(callers)
+        assert len(set(seen)) <= 2
+
     def test_fanout_workers_exit_with_the_index(self, workload, monkeypatch):
         data, queries = workload
         monkeypatch.setattr(fanout, "fanout_width", lambda: 2)
